@@ -3,18 +3,22 @@
 Subcommands: ``scc`` (component decomposition), ``diameter``, ``trace``
 (round-by-round table), ``gen`` (write a random graph as an edge list)
 and ``bench`` (experiment harness emitting CSV).  Exit codes: 0 on
-success, 2 on input or parameter errors, 3 when an internal correctness
-check fails.
+success, 2 on input or parameter errors (including a graph too large for
+the engine's memory limit), 3 when an internal correctness check fails
+or the engine raises on input that passed validation.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import bench as bench_mod
 from .engine import (
+    GraphTooLargeError,
     InternalCorrectnessError,
     Mode,
     assemble_partition,
@@ -36,6 +40,22 @@ def _read_graph(path: str, base: int) -> Digraph:
     return parse_edge_list(Path(path).read_text(), base=base)
 
 
+@contextmanager
+def _engine_faults() -> Iterator[None]:
+    """Report a ValueError or IndexError out of the engine as an internal fault.
+
+    The input was already parsed and checked, so such an error is an
+    engine bug, not bad input.  The one exception is a graph too large
+    for the engine's memory limit, which is an input error.
+    """
+    try:
+        yield
+    except GraphTooLargeError:
+        raise
+    except (ValueError, IndexError) as exc:
+        raise InternalCorrectnessError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _mode(args: argparse.Namespace) -> Mode:
     if args.global_rounds:
         return Mode.GLOBAL_ROUNDS
@@ -46,9 +66,12 @@ def cmd_scc(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.base)
     if g.n == 0:
         return EXIT_OK
-    result = run(g, mode=_mode(args))
-    partition = assemble_partition(g, result)
-    sys.stdout.write(render_result(result, partition, base=args.base))
+    mode = _mode(args)
+    with _engine_faults():
+        result = run(g, mode=mode)
+        partition = assemble_partition(g, result)
+        text = render_result(result, partition, base=args.base)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -57,8 +80,10 @@ def cmd_diameter(args: argparse.Namespace) -> int:
     if g.n == 0:
         print(0)
         return EXIT_OK
-    result = run(g, mode=_mode(args))
-    d = finite_diameter_from_run(result)
+    mode = _mode(args)
+    with _engine_faults():
+        result = run(g, mode=mode)
+        d = finite_diameter_from_run(result)
     print(d)
     if args.check:
         fw = floyd_warshall_diameter(g)
@@ -73,8 +98,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.base)
     if g.n == 0:
         return EXIT_OK
-    result = run(g, mode=_mode(args), trace=True)
-    sys.stdout.write(trace_table(result, base=args.base))
+    mode = _mode(args)
+    with _engine_faults():
+        result = run(g, mode=mode, trace=True)
+        text = trace_table(result, base=args.base)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -21,16 +21,18 @@ Two scheduling variants are provided:
   the same round; each node's final peer set is then individually its
   exact component.
 
-Within a round every update is a pure function of the immutable
-previous-round snapshot, so updates may run concurrently with no
-ordering dependence; results are identical for any schedule.
+Within a round every update is a pure function of the previous-round
+state, so the order in which a round's updates run cannot change the
+result.  :func:`node_round` states one update over immutable
+:class:`NodeState` snapshots; :func:`run` computes the same updates on
+int bitsets and builds snapshots only for its result.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
 
 from .graphs import Digraph, NodeId
 from .partition import SccPartition
@@ -38,6 +40,10 @@ from .partition import SccPartition
 
 class InternalCorrectnessError(RuntimeError):
     """An internal invariant was violated; indicates an engine bug."""
+
+
+class GraphTooLargeError(ValueError):
+    """The run's reach masks could take more memory than :data:`MAX_MASK_BITS` allows."""
 
 
 class Mode(Enum):
@@ -131,110 +137,213 @@ def node_round(v: NodeId, g: Digraph, snap: RoundSnapshot) -> NodeState:
     )
 
 
-def _round_ops(g: Digraph, states: tuple[NodeState, ...], live: list[int]) -> int:
-    # Set elements read while merging, the per-round work the engine is billed for.
-    return sum(
-        len(states[v].reach) + sum(len(states[j].reach) for j in g.in_adj[v]) for v in live
-    )
+# Bit ids are local to a weakly connected component, so a component of c
+# nodes needs reach masks of up to c*c bits in all; the components
+# together may need at most this many (512 MiB).
+MAX_MASK_BITS = 1 << 32
 
 
-def run(
-    g: Digraph,
-    mode: Mode = Mode.PER_NODE_FREEZE,
-    trace: bool = False,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> RunResult:
+def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> RunResult:
     """Execute rounds until every node has stabilized.
 
-    ``trace`` records a snapshot per round (round 0 is the initial
-    state).  ``parallel`` computes each round's updates on a thread
-    pool; output is identical to the sequential schedule.
+    Each update is the one :func:`node_round` specifies, computed on
+    flat per-node lists: reach and peer sets are int bitsets, merged with
+    ``|`` and sized with ``int.bit_count``.  No path crosses between
+    weakly connected components, so bit ``i`` of a mask stands for the
+    ``i``-th smallest node of the owner's component, and a mask is never
+    wider than that component.  :class:`NodeState` views are built only
+    for the returned snapshots: ``result.final``, plus one per round when
+    ``trace`` is set (round 0 is the initial state).  Raises
+    :class:`GraphTooLargeError`, before allocating any mask, when the
+    components could need more than :data:`MAX_MASK_BITS` bits.
     """
     if g.n < 1:
         raise ValueError("run requires a nonempty graph")
     n = g.n
-    states = tuple(init_state(v) for v in range(n))
-    history: list[RoundSnapshot] | None = [RoundSnapshot(states)] if trace else None
+    in_adj = g.in_adj
+    per_node = mode is Mode.PER_NODE_FREEZE
+    comps = _weak_components(g)
+    mask_bits = sum(len(c) * len(c) for c in comps)
+    if mask_bits > MAX_MASK_BITS:
+        raise GraphTooLargeError(
+            f"the reach masks of this graph's components could take {mask_bits} bits, "
+            f"more than the limit of {MAX_MASK_BITS}; its largest weakly connected "
+            f"component has {max(map(len, comps))} nodes"
+        )
+    own = [0] * n  # the node's own bit
+    comp_of = [0] * n
+    # by_size[base[v] + s] is the mask of the nodes in v's component whose
+    # previous-round max size is s.
+    base = [0] * n
+    by_size = [0] * (n + len(comps))
+    offset = 0
+    for c, nodes in enumerate(comps):
+        for i, v in enumerate(nodes):
+            own[v] = 1 << i
+            comp_of[v] = c
+            base[v] = offset
+        by_size[offset + 1] = (1 << len(nodes)) - 1
+        offset += len(nodes) + 1
+    reach = own[:]
+    size = [1] * n  # max_size, which always equals the size of the reach set
+    peers = [0] * n
+    stable = [False] * n
+    rounds = [0] * n
+    views: dict[tuple[int, int], frozenset[int]] = {}
+
+    def snapshot(latched: bool) -> RoundSnapshot:
+        # A stable node is frozen in per-node-freeze mode, and in global-rounds
+        # mode only once every node is stable (``latched``).
+        return RoundSnapshot(
+            tuple(
+                NodeState(
+                    reach=_members(r, comps[c], views),
+                    max_size=s,
+                    peers=_members(p, comps[c], views),
+                    stable=st,
+                    rounds=k,
+                    frozen=st and latched,
+                )
+                for r, s, p, st, k, c in zip(reach, size, peers, stable, rounds, comp_of)
+            )
+        )
+
+    history = [snapshot(False)] if trace else None
     element_ops = 0
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
-    rounds = 0
-    pool = ThreadPoolExecutor(max_workers=max_workers) if parallel else None
-    try:
-        while True:
-            if mode is Mode.PER_NODE_FREEZE:
-                done = all(s.frozen for s in states)
-            else:
-                done = all(s.stable for s in states)
-            if done:
-                break
-            rounds += 1
-            if rounds > cap:
-                raise InternalCorrectnessError(
-                    f"no convergence after {rounds - 1} rounds on {n} nodes"
-                )
-            snap = RoundSnapshot(states)
-            if mode is Mode.PER_NODE_FREEZE:
-                live = [v for v in range(n) if not states[v].frozen]
-            else:
-                live = list(range(n))
-            element_ops += _round_ops(g, states, live)
-            if pool is not None:
-                updated = list(pool.map(lambda v: node_round(v, g, snap), live))
-            else:
-                updated = [node_round(v, g, snap) for v in live]
-            new_states = list(states)
-            for v, st in zip(live, updated):
-                new_states[v] = st
-            if mode is Mode.GLOBAL_ROUNDS and not all(s.stable for s in new_states):
-                # A stabilized node keeps updating in this mode, so the frozen
-                # flag only latches on the terminal round.
-                new_states = [replace(s, frozen=False) if s.frozen else s for s in new_states]
-            states = tuple(new_states)
-            if history is not None:
-                history.append(RoundSnapshot(states))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    round_no = 0
+    live = list(range(n))
+    while live:
+        round_no += 1
+        if round_no > cap:
+            raise InternalCorrectnessError(
+                f"no convergence after {round_no - 1} rounds on {n} nodes"
+            )
+        # A node whose size repeats has an unchanged reach set, so only the
+        # grown ones are written back, after every node has read the
+        # previous round.
+        grown = []
+        for v in live:
+            ins = in_adj[v]
+            r = reach[v]
+            for j in ins:
+                r |= reach[j]
+            s = r.bit_count()
+            element_ops += size[v] + sum(map(size.__getitem__, ins))
+            peers[v] = r & by_size[base[v] + s]
+            rounds[v] += 1
+            stable[v] = s == size[v]
+            if not stable[v]:
+                grown.append((v, r, s))
+        for v, r, s in grown:
+            b = base[v]
+            by_size[b + size[v]] ^= own[v]
+            by_size[b + s] |= own[v]
+            reach[v] = r
+            size[v] = s
+        if per_node:
+            live = [v for v, _, _ in grown]
+        elif not grown:
+            live = []
+        if history is not None:
+            # In global-rounds mode the frozen flag latches only on the last round.
+            history.append(snapshot(per_node or not live))
+    final = history[-1] if history is not None else snapshot(True)
     return RunResult(
         mode=mode,
-        final=RoundSnapshot(states),
-        rounds_per_node=tuple(s.rounds for s in states),
+        final=final,
+        rounds_per_node=tuple(rounds),
         element_ops=element_ops,
         history=tuple(history) if history is not None else None,
     )
 
 
+def _weak_components(g: Digraph) -> list[list[NodeId]]:
+    """Weakly connected components, each sorted, in order of smallest node."""
+    in_adj, out_adj = g.in_adj, g.out_adj
+    seen = bytearray(g.n)
+    comps = []
+    for v in range(g.n):
+        if seen[v]:
+            continue
+        comp = {v}
+        frontier = [v]
+        while frontier:
+            nxt = set(chain.from_iterable(map(in_adj.__getitem__, frontier)))
+            nxt.update(chain.from_iterable(map(out_adj.__getitem__, frontier)))
+            nxt -= comp
+            comp |= nxt
+            frontier = list(nxt)
+        nodes = sorted(comp)
+        for u in nodes:
+            seen[u] = 1
+        comps.append(nodes)
+    return comps
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(
+    mask: int, nodes: list[NodeId], views: dict[tuple[int, int], frozenset[int]]
+) -> frozenset[int]:
+    """The nodes ``nodes[i]`` for the set bits ``i`` of ``mask``, shared through ``views``.
+
+    A mask with few set bits for its width is read bit by bit from the
+    top, so the cost follows the set size; a denser one is read from its
+    binary digits in one pass.
+    """
+    key = (nodes[0], mask)
+    members = views.get(key)
+    if members is None:
+        if mask.bit_count() * 8 < mask.bit_length():
+            ids = []
+            while mask:
+                i = mask.bit_length() - 1
+                ids.append(nodes[i])
+                mask ^= 1 << i
+            members = frozenset(ids)
+        else:
+            bits = format(mask, "b")[::-1].encode().translate(_BIT_VALUES)
+            members = frozenset(compress(nodes, bits))
+        views[key] = members
+    return members
+
+
 def assemble_partition(g: Digraph, result: RunResult) -> SccPartition:
     """Combine final peer sets into the component partition.
 
-    Each node joins the inclusion-maximal peer set it appears in (its
-    own singleton as fallback).  Under per-node freezing a node may have
+    Each node joins the largest peer set it appears in (its own
+    singleton as fallback).  Under per-node freezing a node may have
     stopped with a subset of its component, but the component member
-    that stabilized last holds the complete set, so the maximal
+    that stabilized last holds the complete set, so the largest
     candidate is the true component.  Overlapping candidates that are
     not nested cannot come from a correct run and raise.
+
+    One subset check per peer set is enough.  The chosen sets must be
+    disjoint, or building the partition raises.  Once they are, a peer
+    set ``p`` inside the set chosen by its smallest member lies inside
+    the one chosen set that holds every member of ``p``, so ``p`` is
+    nested in the set each of its members joins.
     """
     n = result.n
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes but run has {n}")
-    candidates: list[list[frozenset[int]]] = [[frozenset((v,))] for v in range(n)]
-    for state in result.final.states:
-        for v in state.peers:
-            candidates[v].append(state.peers)
-    components: dict[frozenset[int], None] = {}
-    for v in range(n):
-        best = max(candidates[v], key=len)
-        for cand in candidates[v]:
-            if not cand <= best:
-                raise InternalCorrectnessError(
-                    f"node {v} appears in non-nested peer sets {sorted(cand)} "
-                    f"and {sorted(best)}"
-                )
-        components[best] = None
+    peer_sets = dict.fromkeys(s.peers for s in result.final.states if s.peers)
+    best = [frozenset((v,)) for v in range(n)]
+    for p in peer_sets:
+        for v in p:
+            if len(p) > len(best[v]):
+                best[v] = p
+    for p in peer_sets:
+        u = min(p)
+        if not p <= best[u]:
+            raise InternalCorrectnessError(
+                f"node {u} appears in non-nested peer sets {sorted(p)} and {sorted(best[u])}"
+            )
     try:
-        return SccPartition.from_components(n, components)
-    except ValueError as exc:  # pragma: no cover - unreachable for a correct engine
+        return SccPartition.from_components(n, dict.fromkeys(best))
+    except ValueError as exc:
         raise InternalCorrectnessError(f"peer sets do not form a partition: {exc}") from exc
 
 

@@ -16,6 +16,11 @@ NodeId = int
 
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes\s*:\s*(\d+)\s*$")
 
+# Larger node counts, declared or implied by an id, are refused before
+# anything is allocated for them: a graph and a run on it take about 1 KiB
+# per node, some 16 GiB at this size.
+MAX_NODES = 1 << 24
+
 
 class EdgeListError(ValueError):
     """Malformed edge-list text; carries the offending 1-based line number."""
@@ -97,7 +102,8 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
     0 or 1 (they are rebased to 0).  An optional directive line
     ``# nodes: N`` pins the node count, which is the only way to keep
     isolated trailing nodes; without it ``n`` is one more than the
-    largest id seen.
+    largest id seen.  A node count above :data:`MAX_NODES`, declared or
+    implied by an id, is rejected before anything is allocated for it.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
@@ -112,6 +118,11 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
                 if declared_n is not None:
                     raise EdgeListError("duplicate 'nodes:' directive", line_no)
                 declared_n = int(m.group(1))
+                if declared_n > MAX_NODES:
+                    raise EdgeListError(
+                        f"declared node count {declared_n} exceeds the limit of {MAX_NODES}",
+                        line_no,
+                    )
             continue
         if "#" in stripped:
             stripped = stripped[: stripped.index("#")].strip()
@@ -131,6 +142,11 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise EdgeListError(
                 f"id {max(u, v) + base} exceeds declared node count {declared_n}", line_no
+            )
+        if u >= MAX_NODES or v >= MAX_NODES:
+            raise EdgeListError(
+                f"id {max(u, v) + base} implies more than the limit of {MAX_NODES} nodes",
+                line_no,
             )
         edges.add((u, v))
         max_id = max(max_id, u, v)

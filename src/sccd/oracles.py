@@ -75,16 +75,30 @@ def all_pairs_bfs(g: Digraph) -> DistanceMatrix:
     return DistanceMatrix(n=g.n, rows=rows)
 
 
+def _eccentricity(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> int:
+    # Level-by-level BFS: the depth of the last nonempty frontier.
+    seen = bytearray(n)
+    seen[source] = 1
+    frontier = [source]
+    depth = 0
+    while True:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if not nxt:
+            return depth
+        frontier = nxt
+        depth += 1
+
+
 def bfs_finite_diameter(g: Digraph) -> int:
     """Largest finite shortest-path length, without storing the matrix."""
     if g.n < 1:
         raise ValueError("bfs_finite_diameter requires a nonempty graph")
-    best = 0
-    for s in range(g.n):
-        m = max(d for d in _bfs_distances(g.out_adj, g.n, s) if d != INF)
-        if m > best:
-            best = m
-    return int(best)
+    return max(_eccentricity(g.out_adj, g.n, s) for s in range(g.n))
 
 
 def floyd_warshall_diameter(g: Digraph) -> int:

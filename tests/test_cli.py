@@ -56,6 +56,37 @@ def test_scc_missing_file_exits_2(tmp_path, capsys):
     assert main(["scc", str(tmp_path / "absent.txt")]) == 2
 
 
+def test_node_count_above_cap_exits_2(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    for text in ("# nodes: 1000000000000\n0 1\n", "0 1\n1 16777216\n"):
+        p.write_text(text)
+        for cmd in ("scc", "diameter", "trace"):
+            assert main([cmd, str(p)]) == 2
+            assert "limit of 16777216" in capsys.readouterr().err
+
+
+def test_component_above_mask_limit_exits_2(tmp_path, capsys):
+    # A path of 65,537 nodes is one weakly connected component whose reach
+    # masks could take more than 2**32 bits; the engine refuses it before
+    # allocating any mask.
+    p = tmp_path / "path.txt"
+    p.write_text("".join(f"{i} {i + 1}\n" for i in range(65_536)))
+    assert main(["scc", str(p)]) == 2
+    assert "largest weakly connected component has 65537 nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["run", "assemble_partition", "render_result", "trace_table"])
+@pytest.mark.parametrize("error", [ValueError, IndexError])
+def test_engine_fault_exits_3(chain_file, capsys, monkeypatch, name, error):
+    def broken(*args, **kwargs):
+        raise error("engine bug")
+
+    monkeypatch.setattr(f"sccd.cli.{name}", broken)
+    cmd = "trace" if name == "trace_table" else "scc"
+    assert main([cmd, chain_file, "--base", "1"]) == 3
+    assert "internal correctness violation" in capsys.readouterr().err
+
+
 def test_diameter_command(chain_file, capsys):
     assert main(["diameter", chain_file, "--base", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "5"

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from sccd.engine import (
+    MAX_MASK_BITS,
+    GraphTooLargeError,
     InternalCorrectnessError,
     Mode,
     NodeState,
@@ -20,6 +22,7 @@ from sccd.graphs import Digraph
 from sccd.oracles import all_pairs_bfs, partitions_equal, reach_set, scc_kosaraju
 
 from conftest import complete5, cycle_with_tail, pair_chain, tree9
+from reference_engine import reference_run, schedules
 from tables import GOLDEN_PAIR_CHAIN
 
 
@@ -188,6 +191,25 @@ def test_assemble_rejects_non_nested_peer_sets():
         assemble_partition(g, fake)
 
 
+def test_assemble_rejects_overlapping_chosen_sets():
+    # Each peer set lies inside the set its smallest member joins, but node 1
+    # joins {1, 2} while node 0 joins {0, 1}: the chosen sets overlap.
+    g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+    fake_states = (
+        NodeState(frozenset({0, 1, 2}), 3, frozenset({1, 2}), True, 2, True),
+        NodeState(frozenset({0, 1, 2}), 3, frozenset({0, 1}), True, 2, True),
+        NodeState(frozenset({0, 1, 2}), 3, frozenset(), True, 2, True),
+    )
+    fake = RunResult(
+        mode=Mode.PER_NODE_FREEZE,
+        final=RoundSnapshot(fake_states),
+        rounds_per_node=(2, 2, 2),
+        element_ops=0,
+    )
+    with pytest.raises(InternalCorrectnessError, match="overlap"):
+        assemble_partition(g, fake)
+
+
 def test_assemble_rejects_mismatched_graph():
     g = pair_chain()
     with pytest.raises(ValueError):
@@ -228,21 +250,54 @@ def test_last_stabilizing_member_holds_full_component():
 def test_determinism_across_modes_and_schedules():
     for seed in (1, 2, 3):
         g = gen_uniform_digraph(30, 0.1, seed=seed)
-        results = {
-            (mode, parallel): run(g, mode=mode, parallel=parallel)
-            for mode in Mode
-            for parallel in (False, True)
-        }
-        parts = {
-            key: assemble_partition(g, res).components for key, res in results.items()
-        }
-        assert len(set(parts.values())) == 1
+        parts = set()
         for mode in Mode:
-            assert (
-                results[(mode, False)].rounds_per_node
-                == results[(mode, True)].rounds_per_node
-            )
-            assert results[(mode, False)].final == results[(mode, True)].final
+            result = run(g, mode=mode, trace=True)
+            parts.add(assemble_partition(g, result).components)
+            for name, order in schedules(seed).items():
+                ref = reference_run(g, mode=mode, trace=True, order=order)
+                assert ref.rounds_per_node == result.rounds_per_node, (mode, name)
+                assert ref.final == result.final, (mode, name)
+                assert ref.history == result.history, (mode, name)
+                assert ref.element_ops == result.element_ops, (mode, name)
+        assert len(parts) == 1
+
+
+def test_masks_are_local_to_weak_components():
+    # 80,000 nodes in 2-cycles: each mask is at most two bits wide, so the
+    # run needs no more than a few bits per node.
+    n = 80_000
+    g = Digraph.from_edges(n, [(v, v ^ 1) for v in range(n)])
+    result = run(g)
+    assert result.rounds_per_node == (2,) * n
+    assert result.final.states[n - 1].reach == frozenset({n - 2, n - 1})
+    assert result.final.states[n - 1].peers == frozenset({n - 2, n - 1})
+    assert assemble_partition(g, result).components == tuple(
+        frozenset({v, v + 1}) for v in range(0, n, 2)
+    )
+
+
+def test_sparse_masks_in_a_wide_component():
+    # Each leaf of an out-star reaches only itself and the hub, so its masks
+    # are read bit by bit; the isolated node and the 2-cycle are components
+    # of their own.
+    edges = [(3, v) for v in range(4, 300)] + [(1, 2), (2, 1)]
+    g = Digraph.from_edges(300, edges)
+    for mode in Mode:
+        result = run(g, mode=mode, trace=True)
+        ref = reference_run(g, mode=mode, trace=True)
+        assert result.history == ref.history
+        assert result.element_ops == ref.element_ops
+        assert result.final.states[299].reach == frozenset({3, 299})
+
+
+def test_run_refuses_components_above_mask_limit():
+    # One component of 65,537 nodes could need 65,537**2 bits of masks.
+    side = 65_537
+    assert side * side > MAX_MASK_BITS >= (side - 1) ** 2
+    g = Digraph.from_edges(side, [(v, v + 1) for v in range(side - 1)])
+    with pytest.raises(GraphTooLargeError, match="component has 65537 nodes"):
+        run(g)
 
 
 def test_element_ops_counted_and_bounded():

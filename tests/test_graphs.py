@@ -50,6 +50,18 @@ def test_parse_rejects_id_beyond_declared_count():
         parse_edge_list("# nodes: 2\n0 5\n")
 
 
+def test_parse_rejects_node_count_above_cap():
+    # Neither input allocates anything: both are refused while parsing.
+    with pytest.raises(EdgeListError, match="line 2: id 16777216 implies more than the limit"):
+        parse_edge_list("0 1\n0 16777216\n")
+    with pytest.raises(EdgeListError, match="id 16777217 implies more than the limit"):
+        parse_edge_list("1 16777217\n", base=1)
+    with pytest.raises(EdgeListError, match="declared node count 16777217 exceeds the limit"):
+        parse_edge_list("# nodes: 16777217\n")
+    with pytest.raises(EdgeListError, match="exceeds the limit of 16777216"):
+        parse_edge_list("# nodes: 1000000000000\n")
+
+
 def test_parse_malformed_line_reports_line_number():
     with pytest.raises(EdgeListError, match="line 3"):
         parse_edge_list("0 1\n1 0\n2\n")
