@@ -19,7 +19,14 @@ from typing import Callable
 
 from . import __version__
 from .engine import InternalCorrectnessError, Mode, assemble_partition, finite_diameter_from_run, run
-from .generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_strogatz
+from .generators import (
+    check_barabasi_albert,
+    check_erdos_renyi,
+    check_watts_strogatz,
+    gen_barabasi_albert,
+    gen_erdos_renyi,
+    gen_watts_strogatz,
+)
 from .graphs import Digraph, serialize_edge_list
 from .oracles import floyd_warshall_diameter, partitions_equal, scc_kosaraju
 from .stats import GraphStats, graph_stats
@@ -136,6 +143,13 @@ class ExperimentConfig:
             raise ValueError(f"parameter_set must be 1 or 2, got {self.parameter_set}")
         if self.replicates < 1 or not self.node_sizes:
             raise ValueError("need replicates >= 1 and at least one node size")
+        # Refuse every size the family's generator would refuse, before
+        # anything runs, so that a ValueError out of a run is an engine fault.
+        check = _CHECKS[self.family]
+        for n in self.node_sizes:
+            if n < 1:
+                raise ValueError(f"node sizes must be >= 1, got {n}")
+            check(*_generator_args(self.family, self.parameter_set, n))
 
 
 @dataclass(frozen=True)
@@ -155,16 +169,25 @@ class ExperimentRecord:
     correct: bool
 
 
-def _generate(family: str, parameter_set: int, n: int, seed: int) -> tuple[Digraph, str]:
+def _generator_args(family: str, parameter_set: int, n: int) -> tuple:
+    """Arguments of the family's generator, without the seed, for one size."""
     if family == "ER":
-        m = round(n ** (2 / 3)) if parameter_set == 1 else 500
-        return gen_erdos_renyi(n, m, seed), f"m={m}"
+        return n, round(n ** (2 / 3)) if parameter_set == 1 else 500
     if family == "BA":
-        m = max(1, round(n / 5)) if parameter_set == 1 else 50
-        return gen_barabasi_albert(n, m, seed), f"m={m}"
-    K = WS_LATTICE_K
-    p = 0.8 if parameter_set == 1 else 0.2
-    return gen_watts_strogatz(n, K, p, seed), f"K={K};p={p}"
+        return n, max(1, round(n / 5)) if parameter_set == 1 else 50
+    return n, WS_LATTICE_K, 0.8 if parameter_set == 1 else 0.2
+
+
+_CHECKS = {"ER": check_erdos_renyi, "BA": check_barabasi_albert, "WS": check_watts_strogatz}
+
+
+def _generate(family: str, parameter_set: int, n: int, seed: int) -> tuple[Digraph, str]:
+    args = _generator_args(family, parameter_set, n)
+    if family == "ER":
+        return gen_erdos_renyi(*args, seed), f"m={args[1]}"
+    if family == "BA":
+        return gen_barabasi_albert(*args, seed), f"m={args[1]}"
+    return gen_watts_strogatz(*args, seed), f"K={args[1]};p={args[2]}"
 
 
 def _median_time(fn: Callable[[], object], reps: int) -> float:

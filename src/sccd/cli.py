@@ -127,7 +127,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.diameter_suite:
-        records = bench_mod.diameter_benchmark(args.seed)
+        with _engine_faults():
+            records = bench_mod.diameter_benchmark(args.seed)
         description = "diameter suite: ER/BA/WS at n=25 vs floyd-warshall"
         mode = Mode.PER_NODE_FREEZE
     else:
@@ -142,7 +143,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
             mode=mode,
         )
-        records = bench_mod.run_experiment(cfg)
+        with _engine_faults():
+            records = bench_mod.run_experiment(cfg)
         description = (
             f"family={cfg.family} parameter_set={cfg.parameter_set} "
             f"sizes={list(cfg.node_sizes)} replicates={cfg.replicates}"

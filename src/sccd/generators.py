@@ -21,15 +21,37 @@ def _orient(edges: list[tuple[int, int]], rng: random.Random) -> list[tuple[int,
     return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
 
 
+def check_erdos_renyi(n: int, m: int) -> None:
+    """Raise ValueError unless :func:`gen_erdos_renyi` accepts ``n`` and ``m``."""
+    capacity = n * (n - 1)
+    if not 0 <= m <= capacity:
+        raise ValueError(f"m must be in [0, {capacity}] for n={n}, got {m}")
+
+
+def check_barabasi_albert(n: int, m: int) -> None:
+    """Raise ValueError unless :func:`gen_barabasi_albert` accepts ``n`` and ``m``."""
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+
+
+def check_watts_strogatz(n: int, K: int, p: float) -> None:
+    """Raise ValueError unless :func:`gen_watts_strogatz` accepts ``n``, ``K`` and ``p``."""
+    if K % 2 != 0:
+        raise ValueError(f"K must be even, got {K}")
+    if K >= n:
+        raise ValueError(f"K must be < n, got K={K}, n={n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+
+
 def gen_erdos_renyi(n: int, m: int, seed: int) -> Digraph:
     """Exactly ``m`` distinct directed edges sampled uniformly, no self-loops.
 
     Sampling is without replacement over all ``n*(n-1)`` ordered pairs,
     so opposite edges (u, v) and (v, u) may both occur.
     """
+    check_erdos_renyi(n, m)
     capacity = n * (n - 1)
-    if not 0 <= m <= capacity:
-        raise ValueError(f"m must be in [0, {capacity}] for n={n}, got {m}")
     rng = random.Random(seed)
     edges = []
     for idx in rng.sample(range(capacity), m):
@@ -46,8 +68,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
     with probability proportional to their undirected degree (uniformly
     while all degrees are still zero, which only happens for m=1).
     """
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+    check_barabasi_albert(n, m)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     repeated: list[int] = []  # node id repeated once per unit of degree
@@ -76,12 +97,7 @@ def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
     probability ``p`` its far endpoint is replaced by a uniform random
     node avoiding self-loops and duplicates.  Orientation happens last.
     """
-    if K % 2 != 0:
-        raise ValueError(f"K must be even, got {K}")
-    if K >= n:
-        raise ValueError(f"K must be < n, got K={K}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_watts_strogatz(n, K, p)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     adj: list[set[int]] = [set() for _ in range(n)]

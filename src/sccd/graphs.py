@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 NodeId = int
@@ -53,6 +54,11 @@ class Digraph:
         for u, v in edge_set:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        return cls._build(n, edge_set)
+
+    @classmethod
+    def _build(cls, n: int, edge_set: frozenset[tuple[int, int]]) -> Digraph:
+        # The one adjacency builder: the caller has checked every edge.
         ins: list[list[int]] = [[] for _ in range(n)]
         outs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_set:
@@ -102,15 +108,31 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
     0 or 1 (they are rebased to 0).  An optional directive line
     ``# nodes: N`` pins the node count, which is the only way to keep
     isolated trailing nodes; without it ``n`` is one more than the
-    largest id seen.  A node count above :data:`MAX_NODES`, declared or
+    largest id seen.  A directive must exceed every id on the lines
+    before it.  A node count above :data:`MAX_NODES`, declared or
     implied by an id, is rejected before anything is allocated for it.
+
+    Each edge is checked once, as it is read: a plain "u v" line with
+    both ids in range is added at once, and only the other lines go
+    through the full checks, whose errors name the line.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
     declared_n: int | None = None
     edges: set[tuple[int, int]] = set()
-    max_id = -1
+    add = edges.add
+    bound = MAX_NODES + base  # ids in range are base <= id < bound
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if len(tokens) == 2:
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                pass
+            else:
+                if base <= u < bound and base <= v < bound:
+                    add((u - base, v - base))
+                    continue
         stripped = raw.strip()
         if stripped.startswith("#"):
             m = _NODES_DIRECTIVE.match(stripped)
@@ -123,6 +145,14 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
                         f"declared node count {declared_n} exceeds the limit of {MAX_NODES}",
                         line_no,
                     )
+                top = _max_id(edges)
+                if top >= declared_n:
+                    raise EdgeListError(
+                        f"declared node count {declared_n} is too small for "
+                        f"id {top + base} on an earlier line",
+                        line_no,
+                    )
+                bound = declared_n + base
             continue
         if "#" in stripped:
             stripped = stripped[: stripped.index("#")].strip()
@@ -148,10 +178,14 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
                 f"id {max(u, v) + base} implies more than the limit of {MAX_NODES} nodes",
                 line_no,
             )
-        edges.add((u, v))
-        max_id = max(max_id, u, v)
-    n = declared_n if declared_n is not None else max_id + 1
-    return Digraph.from_edges(n, edges)
+        add((u, v))
+    n = declared_n if declared_n is not None else _max_id(edges) + 1
+    return Digraph._build(n, frozenset(edges))
+
+
+def _max_id(edges: set[tuple[int, int]]) -> int:
+    """Largest id in ``edges``, or -1 when there are none."""
+    return max(chain.from_iterable(edges), default=-1)
 
 
 def serialize_edge_list(g: Digraph, base: int = 0, header: bool = True) -> str:

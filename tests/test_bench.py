@@ -129,6 +129,20 @@ def test_config_validation():
         ExperimentConfig(family="ER", parameter_set=3)
     with pytest.raises(ValueError):
         ExperimentConfig(family="ER", parameter_set=1, replicates=0)
+    # Every size the family's generator would refuse is refused up front,
+    # with the generator's own message.
+    for family, parameter_set, size, message in [
+        ("BA", 2, 40, "need 1 <= m < n, got m=50, n=40"),
+        ("BA", 1, 1, "need 1 <= m < n, got m=1, n=1"),
+        ("ER", 2, 22, r"m must be in \[0, 462\] for n=22, got 500"),
+        ("ER", 1, 0, "node sizes must be >= 1, got 0"),
+        ("WS", 1, 4, "K must be < n, got K=4, n=4"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(family=family, parameter_set=parameter_set, node_sizes=(100, size))
+    ExperimentConfig(family="BA", parameter_set=2, node_sizes=(51,))
+    ExperimentConfig(family="ER", parameter_set=2, node_sizes=(23,))
+    ExperimentConfig(family="WS", parameter_set=1, node_sizes=(5,))
 
 
 def test_diameter_benchmark_checks_floyd_warshall(tmp_path):

@@ -65,6 +65,14 @@ def test_node_count_above_cap_exits_2(tmp_path, capsys):
             assert "limit of 16777216" in capsys.readouterr().err
 
 
+def test_late_directive_below_an_earlier_id_exits_2(tmp_path, capsys):
+    p = tmp_path / "late.txt"
+    p.write_text("5 6\n# nodes: 3\n")
+    for cmd in ("scc", "diameter", "trace"):
+        assert main([cmd, str(p)]) == 2
+        assert "line 2: declared node count 3 is too small" in capsys.readouterr().err
+
+
 def test_component_above_mask_limit_exits_2(tmp_path, capsys):
     # A path of 65,537 nodes is one weakly connected component whose reach
     # masks could take more than 2**32 bits; the engine refuses it before
@@ -172,3 +180,28 @@ def test_bench_command_writes_csv_and_manifest(tmp_path, capsys):
 
 def test_bench_requires_family_or_suite(tmp_path, capsys):
     assert main(["bench", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("suite", [False, True])
+@pytest.mark.parametrize("error", [ValueError, IndexError])
+def test_bench_engine_fault_exits_3(tmp_path, capsys, monkeypatch, error, suite):
+    def broken(*args, **kwargs):
+        raise error("engine bug")
+
+    monkeypatch.setattr("sccd.bench.run", broken)
+    argv = ["bench", "--seed", "1", "--out", str(tmp_path / "x.csv")]
+    if suite:
+        argv.append("--diameter-suite")
+    else:
+        argv += ["--family", "er", "--sizes", "20", "--replicates", "1"]
+    assert main(argv) == 3
+    assert "internal correctness violation" in capsys.readouterr().err
+
+
+def test_bench_size_the_generator_refuses_exits_2(tmp_path, capsys):
+    # Barabasi-Albert set 2 attaches m=50 links per new node, so n=40 is
+    # refused with the generator's own message, before any graph is made.
+    assert main(["bench", "--family", "ba", "--param-set", "2", "--sizes", "500", "40",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= m < n, got m=50, n=40\n"
+    assert not (tmp_path / "x.csv").exists()

@@ -50,6 +50,17 @@ def test_parse_rejects_id_beyond_declared_count():
         parse_edge_list("# nodes: 2\n0 5\n")
 
 
+def test_parse_rejects_late_directive_below_an_earlier_id():
+    # The directive line itself is refused, with its own line number.
+    with pytest.raises(EdgeListError, match="line 2: declared node count 3 is too small for id 6"):
+        parse_edge_list("5 6\n# nodes: 3\n")
+    with pytest.raises(EdgeListError, match="line 3: declared node count 2 is too small for id 3"):
+        parse_edge_list("1 3\n\n# nodes: 2\n1 2\n", base=1)
+    # A directive above every earlier id still pins the count.
+    assert parse_edge_list("0 1\n# nodes: 4\n1 3\n").n == 4
+    assert parse_edge_list("1 3\n# nodes: 3\n", base=1).n == 3
+
+
 def test_parse_rejects_node_count_above_cap():
     # Neither input allocates anything: both are refused while parsing.
     with pytest.raises(EdgeListError, match="line 2: id 16777216 implies more than the limit"):

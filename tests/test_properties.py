@@ -1,18 +1,23 @@
 """Differential properties over arbitrary small digraphs.
 
 Each drawn graph is checked in both modes against the reference engine,
-Kosaraju, the brute-force construction and BFS distances.  Hypothesis
-runs derandomized with a fixed example count, so every run checks the
-same graphs.
+Kosaraju, the brute-force construction and BFS distances.  The edge-list
+parser is checked against ``Digraph.from_edges`` on drawn texts, and on
+each kind of bad line for the line number it reports.  Hypothesis runs
+derandomized with a fixed example count, so every run checks the same
+graphs.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sccd.engine import Mode, assemble_partition, run
-from sccd.graphs import Digraph
+from sccd.graphs import MAX_NODES, Digraph, EdgeListError, parse_edge_list
 from sccd.oracles import all_pairs_bfs, partitions_equal, scc_kosaraju
 
 from conftest import brute_force_sccs
@@ -53,7 +58,102 @@ def tail_fed_cycles(draw) -> Digraph:
     return Digraph.from_edges(n, [(ids[u], ids[v]) for u, v in edges])
 
 
-graphs = st.one_of(digraphs(), tail_fed_cycles())
+@st.composite
+def dags_of_cycles(draw) -> Digraph:
+    """Up to six cycles joined by forward edges only, ids shuffled.
+
+    Each cycle is one component and the forward edges make a DAG of them.
+    A one-node cycle is a self-loop or a lone node.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    starts = list(accumulate(sizes, initial=0))
+    n = starts[-1]
+    edges = []
+    for first, size in zip(starts, sizes):
+        if size > 1 or draw(st.booleans()):
+            edges += [(first + i, first + (i + 1) % size) for i in range(size)]
+    cycle = st.integers(0, len(sizes) - 1)
+    for a, b in draw(st.lists(st.tuples(cycle, cycle), max_size=2 * len(sizes))):
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            u = draw(st.integers(starts[a], starts[a + 1] - 1))
+            v = draw(st.integers(starts[b], starts[b + 1] - 1))
+            edges.append((u, v))
+    ids = draw(st.permutations(range(n)))
+    return Digraph.from_edges(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+graphs = st.one_of(digraphs(), tail_fed_cycles(), dags_of_cycles())
+
+# Lines the parser skips.  "#0 1" splits into two tokens, like an edge.
+NOISE = ("", "   ", "\t", "# comment", "#", "#0 1", "  # 1 2 3", "# nodes of the graph")
+
+
+@st.composite
+def edge_list_documents(draw) -> tuple[list[str], int, Digraph, int | None]:
+    """Edge-list lines for a drawn digraph, and the graph they must parse to.
+
+    Returns the lines, the id base (0 or 1), the expected graph and the
+    index of the ``# nodes:`` directive line, if there is one.  Edges come
+    in any order, some twice, some with inline comments or odd spacing,
+    between blank and comment lines.  The directive, when present, may be
+    on any line, since it exceeds every id.
+    """
+    g = draw(digraphs())
+    base = draw(st.sampled_from((0, 1)))
+    edges = sorted(g.edges)
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    lines = []
+    for u, v in draw(st.permutations(edges)):
+        gap = draw(st.sampled_from((" ", "  ", "\t", " \t ")))
+        tail = draw(st.sampled_from(("", " ", "  # inline", "#x")))
+        lines.append(f"{u + base}{gap}{v + base}{tail}")
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE)))
+    if draw(st.booleans()):
+        directive = draw(st.integers(0, len(lines)))
+        lines.insert(directive, f"# nodes: {g.n}")
+        expected = g
+    else:
+        directive = None
+        expected = Digraph.from_edges(max((max(e) for e in g.edges), default=-1) + 1, g.edges)
+    return lines, base, expected, directive
+
+
+@CHECKED
+@given(edge_list_documents(), st.data())
+def test_parse_equals_from_edges(doc, data):
+    lines, base, expected, _ = doc
+    ends = data.draw(st.lists(st.sampled_from(("\n", "\r\n")), min_size=len(lines),
+                              max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    assert parse_edge_list(text, base=base) == expected
+
+
+BAD_LINES = ("three tokens", "non-integer", "below base", "beyond declared", "past the limit")
+
+
+@CHECKED
+@given(edge_list_documents(), st.sampled_from(BAD_LINES), st.data())
+def test_bad_line_reports_its_line_number(doc, kind, data):
+    lines, base, expected, directive = doc
+    if kind == "beyond declared" and directive is None:
+        directive = 0
+        lines.insert(0, f"# nodes: {expected.n}")
+    first = 0 if kind != "beyond declared" else directive + 1
+    where = data.draw(st.integers(first, len(lines)))
+    bad = {
+        "three tokens": f"{base} {base} {base}",
+        "non-integer": data.draw(st.sampled_from(("a 1", "1 x", "1.5 2", "0x1 1"))),
+        "below base": f"{base - 1} {base}",
+        "beyond declared": f"{base} {expected.n + base}",
+        "past the limit": f"{MAX_NODES + base} {base}",
+    }[kind]
+    lines.insert(where, bad)
+    with pytest.raises(EdgeListError) as caught:
+        parse_edge_list("\n".join(lines), base=base)
+    assert caught.value.line_no == where + 1
 
 
 @CHECKED
