@@ -171,11 +171,12 @@ class ExperimentRecord:
 
 def _generator_args(family: str, parameter_set: int, n: int) -> tuple:
     """Arguments of the family's generator, without the seed, for one size."""
+    # Set 0 is the diameter suite's.
     if family == "ER":
-        return n, round(n ** (2 / 3)) if parameter_set == 1 else 500
+        return n, (50, round(n ** (2 / 3)), 500)[parameter_set]
     if family == "BA":
-        return n, max(1, round(n / 5)) if parameter_set == 1 else 50
-    return n, WS_LATTICE_K, 0.8 if parameter_set == 1 else 0.2
+        return n, (3, max(1, round(n / 5)), 50)[parameter_set]
+    return n, WS_LATTICE_K, (0.2, 0.8, 0.2)[parameter_set]
 
 
 _CHECKS = {"ER": check_erdos_renyi, "BA": check_barabasi_albert, "WS": check_watts_strogatz}
@@ -288,14 +289,7 @@ def diameter_benchmark(seed: int, timing_reps: int = 5) -> list[ExperimentRecord
     for family in FAMILIES:
         for rep in range(10):
             rec_seed = _record_seed(seed, 0, 25, rep) + _family_offset(family)
-            if family == "ER":
-                g, params = gen_erdos_renyi(25, 50, rec_seed), "m=50"
-            elif family == "BA":
-                g, params = gen_barabasi_albert(25, 3, rec_seed), "m=3"
-            else:
-                g, params = gen_watts_strogatz(25, WS_LATTICE_K, 0.2, rec_seed), (
-                    f"K={WS_LATTICE_K};p=0.2"
-                )
+            g, params = _generate(family, 0, 25, rec_seed)
             records.append(
                 _check_and_record(
                     family, 0, 25, rec_seed, rep, g, params,

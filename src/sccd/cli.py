@@ -56,19 +56,12 @@ def _engine_faults() -> Iterator[None]:
         raise InternalCorrectnessError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _mode(args: argparse.Namespace) -> Mode:
-    if args.global_rounds:
-        return Mode.GLOBAL_ROUNDS
-    return Mode(args.mode)
-
-
 def cmd_scc(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.base)
     if g.n == 0:
         return EXIT_OK
-    mode = _mode(args)
     with _engine_faults():
-        result = run(g, mode=mode)
+        result = run(g, mode=args.mode)
         partition = assemble_partition(g, result)
         text = render_result(result, partition, base=args.base)
     sys.stdout.write(text)
@@ -80,9 +73,8 @@ def cmd_diameter(args: argparse.Namespace) -> int:
     if g.n == 0:
         print(0)
         return EXIT_OK
-    mode = _mode(args)
     with _engine_faults():
-        result = run(g, mode=mode)
+        result = run(g, mode=args.mode)
         d = finite_diameter_from_run(result)
     print(d)
     if args.check:
@@ -98,9 +90,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.base)
     if g.n == 0:
         return EXIT_OK
-    mode = _mode(args)
     with _engine_faults():
-        result = run(g, mode=mode, trace=True)
+        result = run(g, mode=args.mode, trace=True)
         text = trace_table(result, base=args.base)
     sys.stdout.write(text)
     return EXIT_OK
@@ -134,7 +125,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         if args.family is None:
             raise ValueError("bench requires --family or --diameter-suite")
-        mode = _mode(args)
+        mode = args.mode
         cfg = bench_mod.ExperimentConfig(
             family=args.family.upper(),
             parameter_set=args.param_set,
@@ -164,11 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mode_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=[m.value for m in Mode],
-                       default=Mode.PER_NODE_FREEZE.value, help="engine scheduling variant")
-        p.add_argument("--global-rounds", action="store_true",
-                       help="shorthand for --mode global-rounds (every node keeps "
-                            "updating until all stabilize together)")
+        p.add_argument("--global-rounds", dest="mode", action="store_const",
+                       const=Mode.GLOBAL_ROUNDS, default=Mode.PER_NODE_FREEZE,
+                       help="every node keeps updating until all stabilize together "
+                            "(default: each node freezes once stable)")
 
     def add_graph_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("graph", help="edge-list file")

@@ -1,16 +1,15 @@
 """Directed-graph data model and edge-list text format.
 
 A :class:`Digraph` is immutable after construction: node ids are dense
-integers ``0..n-1`` and the edge set is a set of ordered pairs.  Both
-in- and out-adjacency are precomputed because the round engine consumes
-in-neighbors while the classical baselines walk out-neighbors.
+integers ``0..n-1`` and the edges are stored only as sorted in- and
+out-adjacency, because the round engine consumes in-neighbors while the
+classical baselines walk out-neighbors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 NodeId = int
@@ -37,44 +36,49 @@ class EdgeListError(ValueError):
 class Digraph:
     """Directed graph over nodes ``0..n-1`` with set-semantics edges.
 
-    ``in_adj[v]`` / ``out_adj[v]`` are sorted tuples and always agree
-    exactly with ``edges``.  Instances are safe to share across threads.
+    ``in_adj[v]`` / ``out_adj[v]`` are sorted tuples without repeats.
+    Instances are safe to share across threads.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
     in_adj: tuple[tuple[int, ...], ...] = field(repr=False)
-    out_adj: tuple[tuple[int, ...], ...] = field(repr=False)
+    out_adj: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        edge_set = frozenset((int(u), int(v)) for u, v in edges)
-        for u, v in edge_set:
+        pairs = [(int(u), int(v)) for u, v in edges]
+        for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        return cls._build(n, edge_set)
+        return cls._build(n, pairs)
 
     @classmethod
-    def _build(cls, n: int, edge_set: frozenset[tuple[int, int]]) -> Digraph:
-        # The one adjacency builder: the caller has checked every edge.
-        ins: list[list[int]] = [[] for _ in range(n)]
+    def _build(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
+        # The one adjacency builder: the caller has checked every pair.
+        # A list of fewer than two heads is already sorted and repeat-free;
+        # skipping the set there keeps large sparse graphs cheap.  Walking
+        # out_adj in tail order appends each in-list already sorted.
         outs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
+        for u, v in pairs:
             outs[u].append(v)
-            ins[v].append(u)
-        return cls(
-            n=n,
-            edges=edge_set,
-            in_adj=tuple(tuple(sorted(a)) for a in ins),
-            out_adj=tuple(tuple(sorted(a)) for a in outs),
-        )
+        out_adj = tuple(tuple(sorted(set(a))) if len(a) > 1 else tuple(a) for a in outs)
+        ins: list[list[int]] = [[] for _ in range(n)]
+        for u, heads in enumerate(out_adj):
+            for v in heads:
+                ins[v].append(u)
+        return cls(n=n, in_adj=tuple(map(tuple, ins)), out_adj=out_adj)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The ``(u, v)`` pairs, derived from ``out_adj``."""
+        return frozenset((u, v) for u, heads in enumerate(self.out_adj) for v in heads)
 
     @property
     def m(self) -> int:
         """Number of directed edges."""
-        return len(self.edges)
+        return sum(map(len, self.out_adj))
 
     def check_node(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -119,8 +123,9 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
     declared_n: int | None = None
-    edges: set[tuple[int, int]] = set()
-    add = edges.add
+    tails: list[int] = []
+    heads: list[int] = []
+    add_tail, add_head = tails.append, heads.append
     bound = MAX_NODES + base  # ids in range are base <= id < bound
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -131,7 +136,8 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
                 pass
             else:
                 if base <= u < bound and base <= v < bound:
-                    add((u - base, v - base))
+                    add_tail(u - base)
+                    add_head(v - base)
                     continue
         stripped = raw.strip()
         if stripped.startswith("#"):
@@ -145,7 +151,7 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
                         f"declared node count {declared_n} exceeds the limit of {MAX_NODES}",
                         line_no,
                     )
-                top = _max_id(edges)
+                top = max(max(tails, default=-1), max(heads, default=-1))
                 if top >= declared_n:
                     raise EdgeListError(
                         f"declared node count {declared_n} is too small for "
@@ -178,14 +184,12 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
                 f"id {max(u, v) + base} implies more than the limit of {MAX_NODES} nodes",
                 line_no,
             )
-        add((u, v))
-    n = declared_n if declared_n is not None else _max_id(edges) + 1
-    return Digraph._build(n, frozenset(edges))
-
-
-def _max_id(edges: set[tuple[int, int]]) -> int:
-    """Largest id in ``edges``, or -1 when there are none."""
-    return max(chain.from_iterable(edges), default=-1)
+        add_tail(u)
+        add_head(v)
+    n = declared_n
+    if n is None:
+        n = max(max(tails, default=-1), max(heads, default=-1)) + 1
+    return Digraph._build(n, zip(tails, heads))
 
 
 def serialize_edge_list(g: Digraph, base: int = 0, header: bool = True) -> str:
@@ -199,5 +203,7 @@ def serialize_edge_list(g: Digraph, base: int = 0, header: bool = True) -> str:
     lines: list[str] = []
     if header:
         lines.append(f"# nodes: {g.n}")
-    lines.extend(f"{u + base} {v + base}" for u, v in sorted(g.edges))
+    lines.extend(
+        f"{u + base} {v + base}" for u, heads in enumerate(g.out_adj) for v in heads
+    )
     return "\n".join(lines) + ("\n" if lines else "")

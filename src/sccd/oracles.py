@@ -112,11 +112,11 @@ def floyd_warshall_diameter(g: Digraph) -> int:
         raise ValueError("floyd_warshall_diameter requires a nonempty graph")
     n = g.n
     dist = [[INF] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = 0
-    for u, v in g.edges:
-        if u != v:
-            dist[u][v] = 1
+    for u, heads in enumerate(g.out_adj):
+        row_u = dist[u]
+        for v in heads:
+            row_u[v] = 1
+        row_u[u] = 0
     for k in range(n):
         row_k = dist[k]
         for i in range(n):

@@ -117,11 +117,15 @@ def test_trace_command_reproduces_worked_table(chain_file, capsys):
     assert capsys.readouterr().out == render_golden(GOLDEN_PAIR_CHAIN, base=1)
 
 
-def test_mode_flag_equals_global_rounds_switch(chain_file, capsys):
-    main(["trace", chain_file, "--base", "1", "--mode", "global-rounds"])
-    via_mode = capsys.readouterr().out
-    main(["trace", chain_file, "--base", "1", "--global-rounds"])
-    assert capsys.readouterr().out == via_mode
+def test_mode_flag_is_refused(chain_file, tmp_path, capsys):
+    # --global-rounds is the one switch for the engine mode.
+    bench = ["bench", "--family", "er", "--seed", "1", "--out", str(tmp_path / "b.csv")]
+    for argv in (["scc", chain_file], ["diameter", chain_file], ["trace", chain_file], bench):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mode", "global-rounds"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode global-rounds" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_default_mode_is_per_node_freeze(chain_file, capsys):

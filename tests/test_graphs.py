@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from sccd.graphs import (
@@ -119,6 +121,21 @@ def test_adjacency_consistent_with_edges():
     assert rebuilt == set(g.edges)
     rebuilt_out = {(u, v) for u in range(g.n) for v in g.out_adj[u]}
     assert rebuilt_out == set(g.edges)
+    assert g.m == len(g.edges)
+
+
+def test_from_edges_drops_repeats_and_keeps_self_loops():
+    g = Digraph.from_edges(4, [(2, 0), (1, 1), (0, 1), (2, 0), (1, 1), (2, 1), (0, 1), (3, 3)])
+    assert g.out_adj == ((1,), (1,), (0, 1), (3,))
+    assert g.in_adj == ((2,), (0, 1, 2), (), (3,))
+    assert g.m == len(g.edges) == 5
+    assert g.edges == frozenset({(0, 1), (1, 1), (2, 0), (2, 1), (3, 3)})
+
+
+def test_digraph_keeps_only_its_adjacency():
+    assert [f.name for f in fields(Digraph)] == ["n", "in_adj", "out_adj"]
+    # The printed graph names its edges through out_adj.
+    assert repr(Digraph.from_edges(2, [(1, 0), (0, 1)])) == "Digraph(n=2, out_adj=((1,), (0,)))"
 
 
 def test_in_neighbors_worked_example():

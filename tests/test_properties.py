@@ -3,7 +3,8 @@
 Each drawn graph is checked in both modes against the reference engine,
 Kosaraju, the brute-force construction and BFS distances.  The edge-list
 parser is checked against ``Digraph.from_edges`` on drawn texts, and on
-each kind of bad line for the line number it reports.  Hypothesis runs
+each kind of bad line for the line number it reports, and against
+adjacency built by hand from the drawn pairs.  Hypothesis runs
 derandomized with a fixed example count, so every run checks the same
 graphs.
 """
@@ -29,12 +30,17 @@ CHECKED = settings(derandomize=True, database=None, max_examples=300, deadline=N
 
 
 @st.composite
-def digraphs(draw) -> Digraph:
-    """Any digraph on up to MAX_N nodes: self-loops and isolated nodes included."""
+def edge_pairs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A node count up to MAX_N and pairs over it, repeats and self-loops included."""
     n = draw(st.integers(1, MAX_N))
     node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    return Digraph.from_edges(n, edges)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+@st.composite
+def digraphs(draw) -> Digraph:
+    """Any digraph on up to MAX_N nodes: self-loops and isolated nodes included."""
+    return Digraph.from_edges(*draw(edge_pairs()))
 
 
 @st.composite
@@ -90,18 +96,18 @@ NOISE = ("", "   ", "\t", "# comment", "#", "#0 1", "  # 1 2 3", "# nodes of the
 
 
 @st.composite
-def edge_list_documents(draw) -> tuple[list[str], int, Digraph, int | None]:
-    """Edge-list lines for a drawn digraph, and the graph they must parse to.
+def edge_list_documents(draw) -> tuple[list[str], int, Digraph, int | None, list]:
+    """Edge-list lines for drawn pairs, and the graph they must parse to.
 
-    Returns the lines, the id base (0 or 1), the expected graph and the
-    index of the ``# nodes:`` directive line, if there is one.  Edges come
-    in any order, some twice, some with inline comments or odd spacing,
-    between blank and comment lines.  The directive, when present, may be
-    on any line, since it exceeds every id.
+    Returns the lines, the id base (0 or 1), the expected graph, the
+    index of the ``# nodes:`` directive line, if there is one, and the
+    edges written, repeats included.  Edges come in any order, some
+    twice, some with inline comments or odd spacing, between blank and
+    comment lines.  The directive, when present, may be on any line,
+    since it exceeds every id.
     """
-    g = draw(digraphs())
+    n, edges = draw(edge_pairs())
     base = draw(st.sampled_from((0, 1)))
-    edges = sorted(g.edges)
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=5))
     lines = []
@@ -113,22 +119,32 @@ def edge_list_documents(draw) -> tuple[list[str], int, Digraph, int | None]:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE)))
     if draw(st.booleans()):
         directive = draw(st.integers(0, len(lines)))
-        lines.insert(directive, f"# nodes: {g.n}")
-        expected = g
+        lines.insert(directive, f"# nodes: {n}")
     else:
         directive = None
-        expected = Digraph.from_edges(max((max(e) for e in g.edges), default=-1) + 1, g.edges)
-    return lines, base, expected, directive
+        n = max((max(e) for e in edges), default=-1) + 1
+    return lines, base, Digraph.from_edges(n, edges), directive, edges
+
+
+def adjacency_by_hand(n: int, pairs: list[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """In- and out-adjacency of ``pairs`` as sorted tuples without repeats."""
+    in_adj = tuple(tuple(sorted({u for u, v in pairs if v == w})) for w in range(n))
+    out_adj = tuple(tuple(sorted({v for u, v in pairs if u == w})) for w in range(n))
+    return in_adj, out_adj
 
 
 @CHECKED
 @given(edge_list_documents(), st.data())
 def test_parse_equals_from_edges(doc, data):
-    lines, base, expected, _ = doc
+    lines, base, expected, _, pairs = doc
     ends = data.draw(st.lists(st.sampled_from(("\n", "\r\n")), min_size=len(lines),
                               max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
-    assert parse_edge_list(text, base=base) == expected
+    g = parse_edge_list(text, base=base)
+    assert g == expected
+    # Independent of Digraph._build, which parse_edge_list and from_edges share.
+    assert (g.in_adj, g.out_adj) == adjacency_by_hand(expected.n, pairs)
+    assert g.m == len(g.edges) == len(set(pairs))
 
 
 BAD_LINES = ("three tokens", "non-integer", "below base", "beyond declared", "past the limit")
@@ -137,7 +153,7 @@ BAD_LINES = ("three tokens", "non-integer", "below base", "beyond declared", "pa
 @CHECKED
 @given(edge_list_documents(), st.sampled_from(BAD_LINES), st.data())
 def test_bad_line_reports_its_line_number(doc, kind, data):
-    lines, base, expected, directive = doc
+    lines, base, expected, directive, _ = doc
     if kind == "beyond declared" and directive is None:
         directive = 0
         lines.insert(0, f"# nodes: {expected.n}")
