@@ -12,13 +12,13 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import median
 from typing import Callable
 
 from . import __version__
-from .engine import InternalCorrectnessError, Mode, assemble_partition, finite_diameter_from_run, run
+from .engine import InternalCorrectnessError, Mode, assemble_partition, run
 from .generators import (
     check_barabasi_albert,
     check_erdos_renyi,
@@ -29,7 +29,7 @@ from .generators import (
 )
 from .graphs import Digraph, serialize_edge_list
 from .oracles import floyd_warshall_diameter, partitions_equal, scc_kosaraju
-from .stats import GraphStats, graph_stats
+from .stats import graph_stats
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -39,24 +39,7 @@ FAMILIES = ("ER", "BA", "WS")
 # neighbors throughout since only the rewiring probability varies.
 WS_LATTICE_K = 4
 
-CSV_COLUMNS = (
-    "family",
-    "parameter_set",
-    "n",
-    "generator_params",
-    "seed",
-    "replicate",
-    "m_edges",
-    "d_in_max",
-    "finite_diameter",
-    "num_sccs",
-    "rounds_max",
-    "element_ops",
-    "t_consensus",
-    "t_kosaraju",
-    "t_floyd_warshall",
-    "correct",
-)
+TIMING_REPS = 5
 
 
 @dataclass(frozen=True)
@@ -134,7 +117,6 @@ class ExperimentConfig:
     replicates: int = 10
     seed: int = 0
     mode: Mode = Mode.PER_NODE_FREEZE
-    timing_reps: int = 5
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -154,19 +136,27 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One CSV row: the fields are the columns, in column order."""
+
     family: str
     parameter_set: int
     n: int
     generator_params: str
     seed: int
     replicate: int
-    stats: GraphStats
+    m_edges: int
+    d_in_max: int
+    finite_diameter: int
+    num_sccs: int
     rounds_max: int
     element_ops: int
     t_consensus: float
     t_kosaraju: float
     t_floyd_warshall: float | None
     correct: bool
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _generator_args(family: str, parameter_set: int, n: int) -> tuple:
@@ -191,11 +181,11 @@ def _generate(family: str, parameter_set: int, n: int, seed: int) -> tuple[Digra
     return gen_watts_strogatz(*args, seed), f"K={args[1]};p={args[2]}"
 
 
-def _median_time(fn: Callable[[], object], reps: int) -> float:
-    # One discarded warm-up, then the median of `reps` monotonic-clock timings.
+def _median_time(fn: Callable[[], object]) -> float:
+    # One discarded warm-up, then the median of TIMING_REPS monotonic-clock timings.
     fn()
     times = []
-    for _ in range(reps):
+    for _ in range(TIMING_REPS):
         t0 = time.perf_counter()
         fn()
         t1 = time.perf_counter()
@@ -213,38 +203,28 @@ def _check_and_record(
     n: int,
     seed: int,
     replicate: int,
-    g: Digraph,
-    params: str,
     mode: Mode,
-    timing_reps: int,
-    with_floyd_warshall: bool = False,
+    with_floyd_warshall: bool,
 ) -> ExperimentRecord:
+    g, params = _generate(family, parameter_set, n, seed)
     stats = graph_stats(g)
     result = run(g, mode=mode)
     partition = assemble_partition(g, result)
     reference = scc_kosaraju(g)
     rounds_max = max(result.rounds_per_node)
-    engine_diameter = finite_diameter_from_run(result)
-    correct = (
-        partitions_equal(partition, reference)
-        and rounds_max == stats.finite_diameter + 1
-        and engine_diameter == stats.finite_diameter
-    )
+    correct = partitions_equal(partition, reference) and rounds_max == stats.finite_diameter + 1
     t_fw = None
     if with_floyd_warshall:
-        fw = floyd_warshall_diameter(g)
-        correct = correct and fw == engine_diameter
-        t_fw = _median_time(lambda: floyd_warshall_diameter(g), timing_reps)
+        correct = correct and floyd_warshall_diameter(g) == rounds_max - 1
+        t_fw = _median_time(lambda: floyd_warshall_diameter(g))
     if not correct:
         raise InternalCorrectnessError(
             f"mismatch on {family} set {parameter_set}, n={n}, seed={seed}: "
-            f"engine D={engine_diameter}, oracle D={stats.finite_diameter}, "
+            f"engine D={rounds_max - 1}, oracle D={stats.finite_diameter}, "
             f"engine components={partition.num_components}, "
             f"oracle components={reference.num_components}\n"
             f"offending graph:\n{serialize_edge_list(g)}"
         )
-    t_consensus = _median_time(lambda: run(g, mode=mode), timing_reps)
-    t_kosaraju = _median_time(lambda: scc_kosaraju(g), timing_reps)
     return ExperimentRecord(
         family=family,
         parameter_set=parameter_set,
@@ -252,11 +232,14 @@ def _check_and_record(
         generator_params=params,
         seed=seed,
         replicate=replicate,
-        stats=stats,
+        m_edges=stats.m,
+        d_in_max=stats.d_in_max,
+        finite_diameter=stats.finite_diameter,
+        num_sccs=stats.num_sccs,
         rounds_max=rounds_max,
         element_ops=result.element_ops,
-        t_consensus=t_consensus,
-        t_kosaraju=t_kosaraju,
+        t_consensus=_median_time(lambda: run(g, mode=mode)),
+        t_kosaraju=_median_time(lambda: scc_kosaraju(g)),
         t_floyd_warshall=t_fw,
         correct=correct,
     )
@@ -269,34 +252,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     timing fields vary between invocations.  Any correctness mismatch
     aborts the whole run with the offending seed and graph.
     """
-    records = []
-    for n in cfg.node_sizes:
-        for rep in range(cfg.replicates):
-            seed = _record_seed(cfg.seed, cfg.parameter_set, n, rep)
-            g, params = _generate(cfg.family, cfg.parameter_set, n, seed)
-            records.append(
-                _check_and_record(
-                    cfg.family, cfg.parameter_set, n, seed, rep, g, params,
-                    cfg.mode, cfg.timing_reps,
-                )
-            )
-    return records
+    return [
+        _check_and_record(
+            cfg.family, cfg.parameter_set, n, _record_seed(cfg.seed, cfg.parameter_set, n, rep),
+            rep, cfg.mode, with_floyd_warshall=False,
+        )
+        for n in cfg.node_sizes
+        for rep in range(cfg.replicates)
+    ]
 
 
-def diameter_benchmark(seed: int, timing_reps: int = 5) -> list[ExperimentRecord]:
+def diameter_benchmark(seed: int, mode: Mode = Mode.PER_NODE_FREEZE) -> list[ExperimentRecord]:
     """Ten 25-node graphs per family, engine diameter against Floyd-Warshall."""
-    records = []
-    for family in FAMILIES:
-        for rep in range(10):
-            rec_seed = _record_seed(seed, 0, 25, rep) + _family_offset(family)
-            g, params = _generate(family, 0, 25, rec_seed)
-            records.append(
-                _check_and_record(
-                    family, 0, 25, rec_seed, rep, g, params,
-                    Mode.PER_NODE_FREEZE, timing_reps, with_floyd_warshall=True,
-                )
-            )
-    return records
+    return [
+        _check_and_record(
+            family, 0, 25, _record_seed(seed, 0, 25, rep) + _family_offset(family),
+            rep, mode, with_floyd_warshall=True,
+        )
+        for family in FAMILIES
+        for rep in range(10)
+    ]
 
 
 def _family_offset(family: str) -> int:
@@ -304,8 +279,14 @@ def _family_offset(family: str) -> int:
     return sum(ord(c) * 257**i for i, c in enumerate(family))
 
 
-def _fmt_real(x: float | None) -> str:
-    return "" if x is None else f"{x:.6g}"
+def _cell(value: object) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return value
 
 
 def emit_csv(records: list[ExperimentRecord], path: str | Path) -> None:
@@ -315,27 +296,7 @@ def emit_csv(records: list[ExperimentRecord], path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.family,
-                    r.parameter_set,
-                    r.n,
-                    r.generator_params,
-                    r.seed,
-                    r.replicate,
-                    r.stats.m,
-                    r.stats.d_in_max,
-                    r.stats.finite_diameter,
-                    r.stats.num_sccs,
-                    r.rounds_max,
-                    r.element_ops,
-                    _fmt_real(r.t_consensus),
-                    _fmt_real(r.t_kosaraju),
-                    _fmt_real(r.t_floyd_warshall),
-                    str(r.correct).lower(),
-                ]
-            )
+        writer.writerows([_cell(getattr(r, c)) for c in CSV_COLUMNS] for r in records)
 
 
 def write_manifest(path: str | Path, description: str, seed: int, mode: Mode) -> None:

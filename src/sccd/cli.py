@@ -119,20 +119,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.diameter_suite:
         with _engine_faults():
-            records = bench_mod.diameter_benchmark(args.seed)
+            records = bench_mod.diameter_benchmark(args.seed, args.mode)
         description = "diameter suite: ER/BA/WS at n=25 vs floyd-warshall"
-        mode = Mode.PER_NODE_FREEZE
     else:
         if args.family is None:
             raise ValueError("bench requires --family or --diameter-suite")
-        mode = args.mode
         cfg = bench_mod.ExperimentConfig(
             family=args.family.upper(),
             parameter_set=args.param_set,
             node_sizes=tuple(args.sizes),
             replicates=args.replicates,
             seed=args.seed,
-            mode=mode,
+            mode=args.mode,
         )
         with _engine_faults():
             records = bench_mod.run_experiment(cfg)
@@ -142,7 +140,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     out = Path(args.out)
     bench_mod.emit_csv(records, out)
-    bench_mod.write_manifest(out.with_suffix(".manifest.txt"), description, args.seed, mode)
+    bench_mod.write_manifest(out.with_suffix(".manifest.txt"), description, args.seed, args.mode)
     print(f"wrote {len(records)} records to {out}")
     return EXIT_OK
 

@@ -8,7 +8,6 @@ All of them are pure functions of an immutable graph.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Digraph, NodeId
@@ -46,59 +45,48 @@ class DistanceMatrix:
         return int(best)
 
 
-def _bfs_distances(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[float]:
-    dist = [INF] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du1 = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] == INF:
-                dist[w] = du1
-                queue.append(w)
-    return dist
+def _bfs_levels(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[list[int]]:
+    # Level-by-level BFS: level d holds the nodes at distance d from source.
+    seen = bytearray(n)
+    seen[source] = 1
+    levels = [[source]]
+    while True:
+        nxt = []
+        for u in levels[-1]:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 def reach_set(g: Digraph, v: NodeId) -> set[NodeId]:
     """All nodes with a directed path to ``v``, including ``v`` itself."""
     g.check_node(v)
-    dist = _bfs_distances(g.in_adj, g.n, v)
-    return {u for u in range(g.n) if dist[u] != INF}
+    return {u for level in _bfs_levels(g.in_adj, g.n, v) for u in level}
 
 
 def all_pairs_bfs(g: Digraph) -> DistanceMatrix:
     """Exact unweighted shortest paths, one BFS per source."""
     if g.n < 1:
         raise ValueError("all_pairs_bfs requires a nonempty graph")
-    rows = tuple(tuple(_bfs_distances(g.out_adj, g.n, s)) for s in range(g.n))
-    return DistanceMatrix(n=g.n, rows=rows)
-
-
-def _eccentricity(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> int:
-    # Level-by-level BFS: the depth of the last nonempty frontier.
-    seen = bytearray(n)
-    seen[source] = 1
-    frontier = [source]
-    depth = 0
-    while True:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    nxt.append(w)
-        if not nxt:
-            return depth
-        frontier = nxt
-        depth += 1
+    rows = []
+    for s in range(g.n):
+        row = [INF] * g.n
+        for d, level in enumerate(_bfs_levels(g.out_adj, g.n, s)):
+            for u in level:
+                row[u] = d
+        rows.append(tuple(row))
+    return DistanceMatrix(n=g.n, rows=tuple(rows))
 
 
 def bfs_finite_diameter(g: Digraph) -> int:
     """Largest finite shortest-path length, without storing the matrix."""
     if g.n < 1:
         raise ValueError("bfs_finite_diameter requires a nonempty graph")
-    return max(_eccentricity(g.out_adj, g.n, s) for s in range(g.n))
+    return max(len(_bfs_levels(g.out_adj, g.n, s)) for s in range(g.n)) - 1
 
 
 def floyd_warshall_diameter(g: Digraph) -> int:

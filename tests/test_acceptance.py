@@ -191,7 +191,7 @@ def test_criterion_7_experiment_reproduction(tmp_path):
             all_records.extend(run_experiment(cfg))
     assert len(all_records) == 300
     assert all(r.correct for r in all_records)
-    assert all(r.rounds_max == r.stats.finite_diameter + 1 for r in all_records)
+    assert all(r.rounds_max == r.finite_diameter + 1 for r in all_records)
     path = tmp_path / "experiments.csv"
     emit_csv(all_records, path)
     rows = list(csv.reader(path.open()))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +10,7 @@ from sccd.bench import (
     CSV_COLUMNS,
     EULER_MASCHERONI,
     ExperimentConfig,
+    ExperimentRecord,
     diameter_benchmark,
     emit_csv,
     expected_cost_ba,
@@ -87,7 +89,6 @@ def _tiny_config(family: str, **kw) -> ExperimentConfig:
         node_sizes=kw.pop("node_sizes", (20, 30)),
         replicates=kw.pop("replicates", 2),
         seed=kw.pop("seed", 42),
-        timing_reps=kw.pop("timing_reps", 1),
     )
 
 
@@ -97,7 +98,7 @@ def test_run_experiment_records_are_correct_and_consistent(family):
     assert len(records) == 4
     for r in records:
         assert r.correct is True
-        assert r.rounds_max == r.stats.finite_diameter + 1
+        assert r.rounds_max == r.finite_diameter + 1
         assert r.t_consensus > 0 and r.t_kosaraju > 0
         assert r.t_floyd_warshall is None
         assert r.element_ops > 0
@@ -106,8 +107,12 @@ def test_run_experiment_records_are_correct_and_consistent(family):
 def test_run_experiment_graph_sequence_is_deterministic():
     a = run_experiment(_tiny_config("ER"))
     b = run_experiment(_tiny_config("ER"))
-    assert [(r.seed, r.n, r.stats, r.rounds_max, r.element_ops) for r in a] == [
-        (r.seed, r.n, r.stats, r.rounds_max, r.element_ops) for r in b
+    assert [
+        (r.seed, r.n, r.m_edges, r.d_in_max, r.finite_diameter, r.num_sccs, r.rounds_max, r.element_ops)
+        for r in a
+    ] == [
+        (r.seed, r.n, r.m_edges, r.d_in_max, r.finite_diameter, r.num_sccs, r.rounds_max, r.element_ops)
+        for r in b
     ]
 
 
@@ -115,7 +120,7 @@ def test_run_experiment_global_mode():
     records = run_experiment(
         ExperimentConfig(
             family="WS", parameter_set=2, node_sizes=(25,), replicates=2,
-            seed=7, mode=Mode.GLOBAL_ROUNDS, timing_reps=1,
+            seed=7, mode=Mode.GLOBAL_ROUNDS,
         )
     )
     for r in records:
@@ -146,14 +151,14 @@ def test_config_validation():
 
 
 def test_diameter_benchmark_checks_floyd_warshall(tmp_path):
-    records = diameter_benchmark(seed=5, timing_reps=1)
+    records = diameter_benchmark(seed=5)
     assert len(records) == 30
     assert {r.family for r in records} == {"ER", "BA", "WS"}
     for r in records:
         assert r.n == 25
         assert r.correct is True
         assert r.t_floyd_warshall is not None
-        assert r.rounds_max == r.stats.finite_diameter + 1
+        assert r.rounds_max == r.finite_diameter + 1
     emit_csv(records, tmp_path / "diam.csv")
 
 
@@ -171,6 +176,45 @@ def test_emit_csv_shape_and_formatting(tmp_path):
     assert len(mantissa.split("e")[0]) <= 6
     assert rows[1][CSV_COLUMNS.index("t_floyd_warshall")] == ""
     assert rows[1][CSV_COLUMNS.index("correct")] == "true"
+
+
+# Every non-timing cell of one family record (ER set 2, n=30, seed 42) and
+# one diameter-suite record (seed 5, the fifth BA graph), as computed before
+# ExperimentRecord became the CSV row; any change to them changes the output.
+PINNED_ROWS = [
+    {
+        "family": "ER", "parameter_set": "2", "n": "30", "generator_params": "m=500",
+        "seed": "131704398142", "replicate": "0", "m_edges": "500", "d_in_max": "24",
+        "finite_diameter": "2", "num_sccs": "1", "rounds_max": "3", "element_ops": "25846",
+        "correct": "true",
+    },
+    {
+        "family": "BA", "parameter_set": "0", "n": "25", "generator_params": "m=3",
+        "seed": "15655066265", "replicate": "4", "m_edges": "69", "d_in_max": "8",
+        "finite_diameter": "6", "num_sccs": "3", "rounds_max": "7", "element_ops": "5356",
+        "correct": "true",
+    },
+]
+
+
+def test_csv_rows_are_pinned(tmp_path):
+    records = run_experiment(_tiny_config("ER", parameter_set=2, node_sizes=(30,), replicates=1))
+    records.append(diameter_benchmark(seed=5)[14])
+    path = tmp_path / "pinned.csv"
+    emit_csv(records, path)
+    rows = list(csv.DictReader(path.open()))
+    assert [{c: v for c, v in row.items() if not c.startswith("t_")} for row in rows] == PINNED_ROWS
+    assert rows[0]["t_floyd_warshall"] == ""
+    assert all(float(row[c]) > 0 for row in rows for c in ("t_consensus", "t_kosaraju"))
+    assert float(rows[1]["t_floyd_warshall"]) > 0
+
+
+def test_record_fields_are_the_csv_columns():
+    assert tuple(f.name for f in fields(ExperimentRecord)) == CSV_COLUMNS == (
+        "family", "parameter_set", "n", "generator_params", "seed", "replicate",
+        "m_edges", "d_in_max", "finite_diameter", "num_sccs", "rounds_max", "element_ops",
+        "t_consensus", "t_kosaraju", "t_floyd_warshall", "correct",
+    )
 
 
 def test_emit_csv_rejects_empty(tmp_path):

@@ -182,6 +182,24 @@ def test_bench_command_writes_csv_and_manifest(tmp_path, capsys):
     assert "seed: 4" in manifest.read_text()
 
 
+def test_bench_diameter_suite_honours_global_rounds(tmp_path, capsys):
+    rows = {}
+    for mode, flags in (("per-node-freeze", []), ("global-rounds", ["--global-rounds"])):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["bench", "--diameter-suite", "--seed", "3", "--out", str(out), *flags]) == 0
+        assert f"engine mode: {mode}" in out.with_suffix(".manifest.txt").read_text()
+        rows[mode] = [
+            {c: v for c, v in row.items() if not c.startswith("t_")}
+            for row in csv.DictReader(out.open())
+        ]
+    freeze, global_rounds = rows["per-node-freeze"], rows["global-rounds"]
+    assert len(freeze) == len(global_rounds) == 30
+    assert any(a["element_ops"] != b["element_ops"] for a, b in zip(freeze, global_rounds))
+    for a, b in zip(freeze, global_rounds):
+        del a["element_ops"], b["element_ops"]
+    assert freeze == global_rounds
+
+
 def test_bench_requires_family_or_suite(tmp_path, capsys):
     assert main(["bench", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
