@@ -35,6 +35,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# ``diameter --check`` runs Floyd-Warshall on an n x n matrix of Python
+# floats; at this many nodes its row pointers alone take 128 MiB.
+MAX_CHECK_NODES = 4096
+
 
 def _read_graph(path: str, base: int) -> Digraph:
     return parse_edge_list(Path(path).read_text(), base=base)
@@ -70,6 +74,11 @@ def cmd_scc(args: argparse.Namespace) -> int:
 
 def cmd_diameter(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.base)
+    if args.check and g.n > MAX_CHECK_NODES:
+        raise ValueError(
+            f"--check builds an n x n floyd-warshall matrix and is limited to "
+            f"{MAX_CHECK_NODES} nodes; this graph has {g.n}"
+        )
     if g.n == 0:
         print(0)
         return EXIT_OK

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from sccd.cli import main
+from sccd.cli import MAX_CHECK_NODES, main
 
 from conftest import PAIR_CHAIN_TEXT
 from tables import GOLDEN_PAIR_CHAIN, render_golden
@@ -103,6 +103,21 @@ def test_diameter_command(chain_file, capsys):
 def test_diameter_check_agrees(chain_file, capsys):
     assert main(["diameter", chain_file, "--base", "1", "--check"]) == 0
     assert "check ok" in capsys.readouterr().out
+
+
+def test_diameter_check_above_node_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # Floyd-Warshall's matrix would take about 80 GB for this two-line file.
+    p = tmp_path / "wide.txt"
+    p.write_text("# nodes: 100000\n0 1\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the engine ran before --check was refused")
+
+    monkeypatch.setattr("sccd.cli.run", no_run)
+    assert main(["diameter", str(p), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"limited to {MAX_CHECK_NODES} nodes" in captured.err
 
 
 def test_diameter_edgeless(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sccd import oracles
 from sccd.generators import gen_uniform_digraph
 from sccd.graphs import Digraph
 from sccd.oracles import (
@@ -82,10 +83,54 @@ def test_all_pairs_bfs_worked_examples():
     assert tree_dm.distance(7, 0) == INF
 
 
+# Dense inputs up to the complete digraph; at 70 and 130 nodes the masks
+# span several 30-bit int digits.
+DENSE_CASES = ((12, (0, 250, 500, 750, 1000)), (70, (30, 200, 600, 1000)),
+               (130, (15, 100, 1000)))
+
+
 def test_bfs_finite_diameter_matches_matrix():
     for seed in range(20):
         g = gen_uniform_digraph(20, 0.1, seed=seed)
         assert bfs_finite_diameter(g) == all_pairs_bfs(g).finite_diameter()
+    for n, p_millis in DENSE_CASES:
+        for p_milli in p_millis:
+            for i in range(3):
+                g = gen_uniform_digraph(n, p_milli / 1000, seed=n * 1009 + p_milli + i)
+                expected = all_pairs_bfs(g).finite_diameter()
+                assert bfs_finite_diameter(g) == expected, (n, p_milli, i)
+
+
+def _spy_on_reads(monkeypatch) -> dict[str, int]:
+    calls = {"_bits_one_by_one": 0, "_bits_from_digits": 0}
+    for name in calls:
+        read = getattr(oracles, name)
+
+        def counted(mask, read=read, name=name):
+            calls[name] += 1
+            return read(mask)
+
+        monkeypatch.setattr(oracles, name, counted)
+    return calls
+
+
+def test_bfs_finite_diameter_pinned_cases(monkeypatch):
+    assert bfs_finite_diameter(Digraph.from_edges(1, [])) == 0
+    assert bfs_finite_diameter(Digraph.from_edges(50, [])) == 0
+    with pytest.raises(ValueError):
+        bfs_finite_diameter(Digraph.from_edges(0, []))
+    calls = _spy_on_reads(monkeypatch)
+    # Every frontier of a path is one node, so the reads are bit by bit,
+    # except for the frontiers {1} .. {7}: masks narrower than 8 bits are
+    # read from their digits.  Node w is a frontier once for each source below it.
+    path = Digraph.from_edges(300, [(i, i + 1) for i in range(299)] + [(150, 150)])
+    assert bfs_finite_diameter(path) == 299
+    assert calls == {"_bits_one_by_one": 299 * 300 // 2 - 28, "_bits_from_digits": 28}
+    # From each source, the one frontier holds every other node.
+    calls.update(dict.fromkeys(calls, 0))
+    complete = Digraph.from_edges(40, [(u, v) for u in range(40) for v in range(40) if u != v])
+    assert bfs_finite_diameter(complete) == 1
+    assert calls == {"_bits_one_by_one": 0, "_bits_from_digits": 40}
 
 
 def test_floyd_warshall_worked_examples():
@@ -99,6 +144,10 @@ def test_floyd_warshall_agrees_with_bfs_on_randoms():
         for i in range(seeds):
             g = gen_uniform_digraph(n, p_milli / 1000, seed=n * 777 + i)
             assert floyd_warshall_diameter(g) == bfs_finite_diameter(g)
+    for n, p_millis in DENSE_CASES:
+        for p_milli in p_millis:
+            g = gen_uniform_digraph(n, p_milli / 1000, seed=n * 331 + p_milli)
+            assert floyd_warshall_diameter(g) == bfs_finite_diameter(g), (n, p_milli)
 
 
 def test_partitions_equal_is_order_insensitive():

@@ -1,16 +1,18 @@
 """Differential properties over arbitrary small digraphs.
 
 Each drawn graph is checked in both modes against the reference engine,
-Kosaraju, the brute-force construction and BFS distances.  The edge-list
-parser is checked against ``Digraph.from_edges`` on drawn texts, and on
-each kind of bad line for the line number it reports, and against
-adjacency built by hand from the drawn pairs.  Hypothesis runs
+Kosaraju, the brute-force construction and BFS distances.  The three
+diameter oracles are checked against each other, on dense graphs too.
+The edge-list parser is checked against ``Digraph.from_edges`` on drawn
+texts, and on each kind of bad line for the line number it reports, and
+against adjacency built by hand from the drawn pairs.  Hypothesis runs
 derandomized with a fixed example count, so every run checks the same
 graphs.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import accumulate
 
 import pytest
@@ -19,7 +21,13 @@ from hypothesis import strategies as st
 
 from sccd.engine import Mode, assemble_partition, run
 from sccd.graphs import MAX_NODES, Digraph, EdgeListError, parse_edge_list
-from sccd.oracles import all_pairs_bfs, partitions_equal, scc_kosaraju
+from sccd.oracles import (
+    all_pairs_bfs,
+    bfs_finite_diameter,
+    floyd_warshall_diameter,
+    partitions_equal,
+    scc_kosaraju,
+)
 
 from conftest import brute_force_sccs
 from reference_engine import reference_run
@@ -87,6 +95,15 @@ def dags_of_cycles(draw) -> Digraph:
             edges.append((u, v))
     ids = draw(st.permutations(range(n)))
     return Digraph.from_edges(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+@st.composite
+def dense_digraphs(draw) -> Digraph:
+    """2 to MAX_N nodes; each ordered pair, self-loops too, is an edge with a drawn probability."""
+    n = draw(st.integers(2, MAX_N))
+    p = draw(st.integers(0, 100)) / 100
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p])
 
 
 graphs = st.one_of(digraphs(), tail_fed_cycles(), dags_of_cycles())
@@ -201,3 +218,20 @@ def test_rounds_equal_in_eccentricity_plus_one(g):
     assert run(g, mode=Mode.PER_NODE_FREEZE).rounds_per_node == expected
     # Every node runs until the last one stabilizes.
     assert run(g, mode=Mode.GLOBAL_ROUNDS).rounds_per_node == (max(expected),) * g.n
+
+
+def assert_diameter_oracles_agree(g: Digraph) -> None:
+    expected = all_pairs_bfs(g).finite_diameter()
+    assert bfs_finite_diameter(g) == expected == floyd_warshall_diameter(g)
+
+
+@CHECKED
+@given(graphs)
+def test_diameter_oracles_agree(g):
+    assert_diameter_oracles_agree(g)
+
+
+@CHECKED
+@given(dense_digraphs())
+def test_diameter_oracles_agree_on_dense_graphs(g):
+    assert_diameter_oracles_agree(g)
