@@ -10,8 +10,6 @@ from .engine import (
     RunResult,
     assemble_partition,
     finite_diameter_from_run,
-    init_state,
-    node_round,
     render_result,
     run,
     trace_table,
@@ -65,9 +63,7 @@ __all__ = [
     "gen_watts_strogatz",
     "graph_stats",
     "in_neighbors",
-    "init_state",
     "max_in_degree",
-    "node_round",
     "out_neighbors",
     "parse_edge_list",
     "partitions_equal",

@@ -23,16 +23,18 @@ Two scheduling variants are provided:
 
 Within a round every update is a pure function of the previous-round
 state, so the order in which a round's updates run cannot change the
-result.  :func:`node_round` states one update over immutable
-:class:`NodeState` snapshots; :func:`run` computes the same updates on
-int bitsets and builds snapshots only for its result.
+result.  :func:`run` computes the updates on int bitsets, and its
+:class:`RunResult` keeps those masks; :class:`NodeState` views are
+built from them only when ``final`` is read or a trace is recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, compress
+from typing import Sequence
 
 from .graphs import Digraph, NodeId
 from .partition import SccPartition
@@ -83,58 +85,30 @@ class RoundSnapshot:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final states plus per-node round counts and optional full history."""
+    """Final masks, round counts and the optional full history.
+
+    Bit ``i`` of a node's masks is the ``i``-th node of its weakly connected component.
+    """
 
     mode: Mode
-    final: RoundSnapshot
     rounds_per_node: tuple[int, ...]
     element_ops: int
+    components: tuple[tuple[NodeId, ...], ...]
+    reach: tuple[int, ...]
+    peers: tuple[int, ...]
     history: tuple[RoundSnapshot, ...] | None = None
 
     @property
     def n(self) -> int:
-        return len(self.final.states)
+        return len(self.rounds_per_node)
 
-
-def init_state(v: NodeId) -> NodeState:
-    """Round-0 state: the node knows only itself."""
-    return NodeState(
-        reach=frozenset((v,)),
-        max_size=1,
-        peers=frozenset(),
-        stable=False,
-        rounds=0,
-        frozen=False,
-    )
-
-
-def node_round(v: NodeId, g: Digraph, snap: RoundSnapshot) -> NodeState:
-    """One update of node ``v`` against the previous-round snapshot.
-
-    The peer test consults the previous-round sizes of every node in the
-    merged reach set, which is exactly the information a shared snapshot
-    provides (a frozen node's entry is its last computed value).
-    """
-    states = snap.states
-    if not 0 <= v < len(states):
-        raise IndexError(f"node {v} out of range for n={len(states)}")
-    prev = states[v]
-    if prev.frozen:
-        raise ValueError(f"node {v} is frozen and must not be updated")
-    in_nbrs = g.in_adj[v]
-    reach = prev.reach.union(*(states[j].reach for j in in_nbrs)) if in_nbrs else prev.reach
-    nbr_max = max((len(states[j].reach) for j in in_nbrs), default=0)
-    max_size = max(nbr_max, len(reach))
-    peers = frozenset(j for j in reach if states[j].max_size == max_size)
-    stable = max_size == prev.max_size
-    return NodeState(
-        reach=reach,
-        max_size=max_size,
-        peers=peers,
-        stable=stable,
-        rounds=prev.rounds + 1,
-        frozen=stable,
-    )
+    @cached_property
+    def final(self) -> RoundSnapshot:
+        """Every node's last state; each is stable and frozen."""
+        return _snapshot(
+            self.components, self.reach, self.peers, (True,) * self.n, self.rounds_per_node,
+            True, {},
+        )
 
 
 # Bit ids are local to a weakly connected component, so a component of c
@@ -146,14 +120,13 @@ MAX_MASK_BITS = 1 << 32
 def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> RunResult:
     """Execute rounds until every node has stabilized.
 
-    Each update is the one :func:`node_round` specifies, computed on
-    flat per-node lists: reach and peer sets are int bitsets, merged with
-    ``|`` and sized with ``int.bit_count``.  No path crosses between
-    weakly connected components, so bit ``i`` of a mask stands for the
-    ``i``-th smallest node of the owner's component, and a mask is never
-    wider than that component.  :class:`NodeState` views are built only
-    for the returned snapshots: ``result.final``, plus one per round when
-    ``trace`` is set (round 0 is the initial state).  Raises
+    The state lives in flat per-node lists: reach and peer sets are int
+    bitsets, merged with ``|`` and sized with ``int.bit_count``.  No path
+    crosses between weakly connected components, so bit ``i`` of a mask
+    stands for the ``i``-th smallest node of the owner's component, and a
+    mask is never wider than that component.  The result keeps the final
+    masks; ``trace`` adds one :class:`NodeState` snapshot per round
+    (round 0 is the initial state).  Raises
     :class:`GraphTooLargeError`, before allocating any mask, when the
     components could need more than :data:`MAX_MASK_BITS` bits.
     """
@@ -171,16 +144,14 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
             f"component has {max(map(len, comps))} nodes"
         )
     own = [0] * n  # the node's own bit
-    comp_of = [0] * n
     # by_size[base[v] + s] is the mask of the nodes in v's component whose
     # previous-round max size is s.
     base = [0] * n
     by_size = [0] * (n + len(comps))
     offset = 0
-    for c, nodes in enumerate(comps):
+    for nodes in comps:
         for i, v in enumerate(nodes):
             own[v] = 1 << i
-            comp_of[v] = c
             base[v] = offset
         by_size[offset + 1] = (1 << len(nodes)) - 1
         offset += len(nodes) + 1
@@ -190,25 +161,7 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     stable = [False] * n
     rounds = [0] * n
     views: dict[tuple[int, int], frozenset[int]] = {}
-
-    def snapshot(latched: bool) -> RoundSnapshot:
-        # A stable node is frozen in per-node-freeze mode, and in global-rounds
-        # mode only once every node is stable (``latched``).
-        return RoundSnapshot(
-            tuple(
-                NodeState(
-                    reach=_members(r, comps[c], views),
-                    max_size=s,
-                    peers=_members(p, comps[c], views),
-                    stable=st,
-                    rounds=k,
-                    frozen=st and latched,
-                )
-                for r, s, p, st, k, c in zip(reach, size, peers, stable, rounds, comp_of)
-            )
-        )
-
-    history = [snapshot(False)] if trace else None
+    history = [_snapshot(comps, reach, peers, stable, rounds, False, views)] if trace else None
     element_ops = 0
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
     round_no = 0
@@ -247,18 +200,20 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
             live = []
         if history is not None:
             # In global-rounds mode the frozen flag latches only on the last round.
-            history.append(snapshot(per_node or not live))
-    final = history[-1] if history is not None else snapshot(True)
+            latched = per_node or not live
+            history.append(_snapshot(comps, reach, peers, stable, rounds, latched, views))
     return RunResult(
         mode=mode,
-        final=final,
         rounds_per_node=tuple(rounds),
         element_ops=element_ops,
+        components=comps,
+        reach=tuple(reach),
+        peers=tuple(peers),
         history=tuple(history) if history is not None else None,
     )
 
 
-def _weak_components(g: Digraph) -> list[list[NodeId]]:
+def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
     """Weakly connected components, each sorted, in order of smallest node."""
     in_adj, out_adj = g.in_adj, g.out_adj
     seen = bytearray(g.n)
@@ -274,19 +229,41 @@ def _weak_components(g: Digraph) -> list[list[NodeId]]:
             nxt -= comp
             comp |= nxt
             frontier = list(nxt)
-        nodes = sorted(comp)
+        nodes = tuple(sorted(comp))
         for u in nodes:
             seen[u] = 1
         comps.append(nodes)
-    return comps
+    return tuple(comps)
+
+
+def _snapshot(
+    comps: Sequence[Sequence[NodeId]], reach: Sequence[int], peers: Sequence[int],
+    stable: Sequence[bool], rounds: Sequence[int], latched: bool, views: dict,
+) -> RoundSnapshot:
+    """:class:`NodeState` views of per-node masks, one frozenset per distinct mask.
+
+    A stable node is frozen in per-node-freeze mode, and in global-rounds
+    mode only once every node is stable (``latched``).  A node's max size
+    is the size of its reach set.
+    """
+    states: list = [None] * len(reach)
+    for nodes in comps:
+        for v in nodes:
+            states[v] = NodeState(
+                reach=_members(reach[v], nodes, views),
+                max_size=reach[v].bit_count(),
+                peers=_members(peers[v], nodes, views),
+                stable=stable[v],
+                rounds=rounds[v],
+                frozen=stable[v] and latched,
+            )
+    return RoundSnapshot(tuple(states))
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _members(
-    mask: int, nodes: list[NodeId], views: dict[tuple[int, int], frozenset[int]]
-) -> frozenset[int]:
+def _members(mask: int, nodes: Sequence[NodeId], views: dict) -> frozenset[int]:
     """The nodes ``nodes[i]`` for the set bits ``i`` of ``mask``, shared through ``views``.
 
     A mask with few set bits for its width is read bit by bit from the
@@ -329,7 +306,10 @@ def assemble_partition(g: Digraph, result: RunResult) -> SccPartition:
     n = result.n
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes but run has {n}")
-    peer_sets = dict.fromkeys(s.peers for s in result.final.states if s.peers)
+    peers, views = result.peers, {}
+    peer_sets = dict.fromkeys(
+        _members(peers[v], nodes, views) for nodes in result.components for v in nodes if peers[v]
+    )
     best = [frozenset((v,)) for v in range(n)]
     for p in peer_sets:
         for v in p:

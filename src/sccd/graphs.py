@@ -17,8 +17,8 @@ NodeId = int
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes\s*:\s*(\d+)\s*$")
 
 # Larger node counts, declared or implied by an id, are refused before
-# anything is allocated for them: a graph and a run on it take about 1 KiB
-# per node, some 16 GiB at this size.
+# anything is allocated for them: a graph and an untraced run on it take
+# about 0.25 KiB per node (4 GiB at this size), `sccd scc` about 1 KiB (16 GiB).
 MAX_NODES = 1 << 24
 
 

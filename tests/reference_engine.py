@@ -1,10 +1,13 @@
 """Readable frozenset round engine, the reference the bitset engine is checked against.
 
-It drives the public one-update rule :func:`sccd.engine.node_round`
-round by round over immutable :class:`RoundSnapshot` objects, exactly as
-the paper states the rounds.  ``order`` picks the sequence in which each
+:func:`node_round` states one update over immutable :class:`NodeState`
+snapshots, and :func:`reference_run` drives it round by round, exactly
+as the paper states the rounds.  It shares no update code with
+:func:`sccd.engine.run`.  ``order`` picks the sequence in which each
 round's live nodes are updated; every update reads only the previous
-snapshot, so any order must give the same result.
+snapshot, so any order must give the same result.  The returned
+:class:`RunResult` holds the final sets as masks over one component,
+every node ``0..n-1``.
 """
 
 from __future__ import annotations
@@ -13,10 +16,51 @@ import random
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from sccd.engine import Mode, RoundSnapshot, RunResult, init_state, node_round
-from sccd.graphs import Digraph
+from sccd.engine import Mode, NodeState, RoundSnapshot, RunResult
+from sccd.graphs import Digraph, NodeId
 
 Order = Callable[[list[int]], Sequence[int]]
+
+
+def init_state(v: NodeId) -> NodeState:
+    """Round-0 state: the node knows only itself."""
+    return NodeState(
+        reach=frozenset((v,)),
+        max_size=1,
+        peers=frozenset(),
+        stable=False,
+        rounds=0,
+        frozen=False,
+    )
+
+
+def node_round(v: NodeId, g: Digraph, snap: RoundSnapshot) -> NodeState:
+    """One update of node ``v`` against the previous-round snapshot.
+
+    The peer test consults the previous-round sizes of every node in the
+    merged reach set, which is exactly the information a shared snapshot
+    provides (a frozen node's entry is its last computed value).
+    """
+    states = snap.states
+    if not 0 <= v < len(states):
+        raise IndexError(f"node {v} out of range for n={len(states)}")
+    prev = states[v]
+    if prev.frozen:
+        raise ValueError(f"node {v} is frozen and must not be updated")
+    in_nbrs = g.in_adj[v]
+    reach = prev.reach.union(*(states[j].reach for j in in_nbrs)) if in_nbrs else prev.reach
+    nbr_max = max((len(states[j].reach) for j in in_nbrs), default=0)
+    max_size = max(nbr_max, len(reach))
+    peers = frozenset(j for j in reach if states[j].max_size == max_size)
+    stable = max_size == prev.max_size
+    return NodeState(
+        reach=reach,
+        max_size=max_size,
+        peers=peers,
+        stable=stable,
+        rounds=prev.rounds + 1,
+        frozen=stable,
+    )
 
 
 def natural(live: list[int]) -> list[int]:
@@ -75,8 +119,14 @@ def reference_run(
         history.append(RoundSnapshot(states))
     return RunResult(
         mode=mode,
-        final=RoundSnapshot(states),
         rounds_per_node=tuple(s.rounds for s in states),
         element_ops=element_ops,
+        components=(tuple(range(n)),),
+        reach=tuple(_mask(s.reach) for s in states),
+        peers=tuple(_mask(s.peers) for s in states),
         history=tuple(history) if trace else None,
     )
+
+
+def _mask(ids: frozenset[int]) -> int:
+    return sum(1 << v for v in ids)

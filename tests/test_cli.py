@@ -197,6 +197,32 @@ def test_bench_command_writes_csv_and_manifest(tmp_path, capsys):
     assert "seed: 4" in manifest.read_text()
 
 
+def test_untraced_commands_build_no_views(chain_file, tmp_path, capsys, monkeypatch):
+    # scc, diameter and bench read the run's masks; only a trace or a read
+    # of RunResult.final builds NodeState views.
+    def outputs():
+        seen = []
+        for flags in ([], ["--global-rounds"]):
+            for cmd in ("scc", "diameter"):
+                assert main([cmd, chain_file, "--base", "1", *flags]) == 0
+                seen.append(capsys.readouterr().out)
+        out = tmp_path / "er.csv"
+        assert main(["bench", "--family", "er", "--sizes", "20", "--replicates", "2",
+                     "--seed", "4", "--out", str(out)]) == 0
+        seen.append(capsys.readouterr().out)
+        seen.append([{c: v for c, v in row.items() if not c.startswith("t_")}
+                     for row in csv.DictReader(out.open())])
+        return seen
+
+    expected = outputs()
+
+    def no_views(*args, **kwargs):
+        raise AssertionError("a NodeState view was built")
+
+    monkeypatch.setattr("sccd.engine.NodeState", no_views)
+    assert outputs() == expected
+
+
 def test_bench_diameter_suite_honours_global_rounds(tmp_path, capsys):
     rows = {}
     for mode, flags in (("per-node-freeze", []), ("global-rounds", ["--global-rounds"])):

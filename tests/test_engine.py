@@ -12,8 +12,6 @@ from sccd.engine import (
     RunResult,
     assemble_partition,
     finite_diameter_from_run,
-    init_state,
-    node_round,
     render_result,
     run,
 )
@@ -22,7 +20,7 @@ from sccd.graphs import Digraph
 from sccd.oracles import all_pairs_bfs, partitions_equal, reach_set, scc_kosaraju
 
 from conftest import complete5, cycle_with_tail, pair_chain, tree9
-from reference_engine import reference_run, schedules
+from reference_engine import init_state, node_round, reference_run, schedules
 from tables import GOLDEN_PAIR_CHAIN
 
 
@@ -176,16 +174,14 @@ def test_cycle_with_tail_global_mode_peer_sets_are_exact():
 
 def test_assemble_rejects_non_nested_peer_sets():
     g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    fake_states = (
-        NodeState(frozenset({0, 1}), 2, frozenset({0, 1}), True, 2, True),
-        NodeState(frozenset({0, 1, 2}), 3, frozenset({1, 2}), True, 2, True),
-        NodeState(frozenset({0, 1, 2}), 3, frozenset(), True, 2, True),
-    )
+    # Final peer sets {0, 1}, {1, 2} and {} as masks over the one component.
     fake = RunResult(
         mode=Mode.PER_NODE_FREEZE,
-        final=RoundSnapshot(fake_states),
         rounds_per_node=(2, 2, 2),
         element_ops=0,
+        components=((0, 1, 2),),
+        reach=(0b011, 0b111, 0b111),
+        peers=(0b011, 0b110, 0b000),
     )
     with pytest.raises(InternalCorrectnessError):
         assemble_partition(g, fake)
@@ -195,16 +191,14 @@ def test_assemble_rejects_overlapping_chosen_sets():
     # Each peer set lies inside the set its smallest member joins, but node 1
     # joins {1, 2} while node 0 joins {0, 1}: the chosen sets overlap.
     g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    fake_states = (
-        NodeState(frozenset({0, 1, 2}), 3, frozenset({1, 2}), True, 2, True),
-        NodeState(frozenset({0, 1, 2}), 3, frozenset({0, 1}), True, 2, True),
-        NodeState(frozenset({0, 1, 2}), 3, frozenset(), True, 2, True),
-    )
+    # Final peer sets {1, 2}, {0, 1} and {} as masks over the one component.
     fake = RunResult(
         mode=Mode.PER_NODE_FREEZE,
-        final=RoundSnapshot(fake_states),
         rounds_per_node=(2, 2, 2),
         element_ops=0,
+        components=((0, 1, 2),),
+        reach=(0b111, 0b111, 0b111),
+        peers=(0b110, 0b011, 0b000),
     )
     with pytest.raises(InternalCorrectnessError, match="overlap"):
         assemble_partition(g, fake)
