@@ -306,9 +306,16 @@ def assemble_partition(g: Digraph, result: RunResult) -> SccPartition:
     n = result.n
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes but run has {n}")
+    # A one-node peer set {w} equals w's singleton fallback, so only
+    # distinct masks with two or more bits set are turned into sets; a
+    # one-node component has none.
     peers, views = result.peers, {}
     peer_sets = dict.fromkeys(
-        _members(peers[v], nodes, views) for nodes in result.components for v in nodes if peers[v]
+        _members(mask, nodes, views)
+        for nodes in result.components
+        if len(nodes) > 1
+        for mask in dict.fromkeys(peers[v] for v in nodes)
+        if mask & (mask - 1)
     )
     best = [frozenset((v,)) for v in range(n)]
     for p in peer_sets:

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import pytest
 
+from sccd import graphs
+from sccd.generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_strogatz
 from sccd.graphs import (
     Digraph,
     EdgeListError,
@@ -113,6 +115,29 @@ def test_serialize_is_sorted_and_stable():
 def test_serialize_base1():
     g = Digraph.from_edges(2, [(0, 1)])
     assert serialize_edge_list(g, base=1, header=False) == "1 2\n"
+
+
+def test_clean_text_takes_the_bulk_path(monkeypatch):
+    # The line loop returns the same graphs, so only this shows that a
+    # shape check gone wrong has not sent clean text down the slow path.
+    def line_loop(text, base):
+        raise AssertionError(f"line loop reached on {text[:40]!r}")
+
+    monkeypatch.setattr(graphs, "_parse_lines", line_loop)
+    drawn = [
+        gen_erdos_renyi(60, 90, 1),
+        gen_barabasi_albert(60, 5, 2),
+        gen_watts_strogatz(60, 4, 0.2, 3),
+        Digraph.from_edges(4, []),
+    ]
+    for g in drawn:
+        for base in (0, 1):
+            assert parse_edge_list(serialize_edge_list(g, base=base), base=base) == g
+            text = serialize_edge_list(g, base=base, header=False)
+            assert parse_edge_list(text, base=base).edges == g.edges
+    for base in (0, 1):
+        assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
+        assert parse_edge_list("# nodes: 7", base=base) == Digraph.from_edges(7, [])
 
 
 def test_adjacency_consistent_with_edges():

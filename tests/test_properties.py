@@ -5,9 +5,10 @@ Kosaraju, the brute-force construction and BFS distances.  The three
 diameter oracles are checked against each other, on dense graphs too.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
-against adjacency built by hand from the drawn pairs.  Hypothesis runs
-derandomized with a fixed example count, so every run checks the same
-graphs.
+against adjacency built by hand from the drawn pairs.  Its bulk path is
+checked against its line loop on serialized graphs with one edit each.
+Hypothesis runs derandomized with a fixed example count, so every run
+checks the same graphs.
 """
 
 from __future__ import annotations
@@ -16,11 +17,18 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sccd.engine import Mode, assemble_partition, run
-from sccd.graphs import MAX_NODES, Digraph, EdgeListError, parse_edge_list
+from sccd.graphs import (
+    MAX_NODES,
+    Digraph,
+    EdgeListError,
+    _parse_lines,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from sccd.oracles import (
     all_pairs_bfs,
     bfs_finite_diameter,
@@ -187,6 +195,76 @@ def test_bad_line_reports_its_line_number(doc, kind, data):
     with pytest.raises(EdgeListError) as caught:
         parse_edge_list("\n".join(lines), base=base)
     assert caught.value.line_no == where + 1
+
+
+EDITS = (
+    None, "no final newline", "crlf", "one token", "one token and a space", "three then one",
+    "leading zero", "blank line", "tab", "count at or below an id", "count above the limit",
+    "id past the limit", "id 0", "comment first line", "line break in the directive",
+)
+
+
+@st.composite
+def edited_serializations(draw) -> tuple[str, int]:
+    """``serialize_edge_list`` text of a drawn graph with at most one edit, and its base.
+
+    An inserted line goes between any two lines of the body, or last,
+    where it may lack a newline of its own.
+    """
+    g = draw(digraphs())
+    base = draw(st.sampled_from((0, 1)))
+    header = draw(st.booleans())
+    text = serialize_edge_list(g, base=base, header=header)
+    edit = draw(st.sampled_from(EDITS))
+    if edit is None:
+        return text, base
+    if edit == "no final newline":
+        return text.removesuffix("\n"), base
+    if edit == "crlf":
+        return text.replace("\n", "\r\n"), base
+    body = text.partition("\n")[2] if header else text
+    if edit == "count at or below an id":
+        top = max((max(e) for e in g.edges), default=0)
+        return f"# nodes: {top - draw(st.integers(0, top))}\n{body}", base
+    if edit == "count above the limit":
+        return f"# nodes: {MAX_NODES + 1}\n{body}", base
+    if edit == "comment first line":
+        return "# comment\n" + text, base
+    if edit == "line break in the directive":
+        # Each of these splits a line for str.splitlines() but not for "\n".
+        brk = draw(st.sampled_from(("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")))
+        return f"#{brk}nodes: {g.n}\n{body}", base
+    u, v, w = (str(draw(st.integers(base, g.n - 1 + base))) for _ in range(3))
+    inserted = {
+        "one token": [u],
+        "one token and a space": [u + " "],
+        "three then one": [f"{u} {v} {w}", u],
+        "leading zero": [f"0{u} {v}"],
+        "blank line": [""],
+        "tab": [f"{u}\t{v}"],
+        "id past the limit": [f"{MAX_NODES + base} {v}"],
+        "id 0": [f"0 {v}"],
+    }[edit]
+    lines = text.splitlines(keepends=True)
+    at = draw(st.integers(int(header), len(lines)))
+    end = draw(st.sampled_from(("\n", ""))) if at == len(lines) else "\n"
+    return "".join(lines[:at]) + "\n".join(inserted) + end + "".join(lines[at:]), base
+
+
+def parse_outcome(parse, text: str, base: int):
+    """The parsed graph, or the message and line number of the error raised."""
+    try:
+        return parse(text, base)
+    except EdgeListError as exc:
+        return str(exc), exc.line_no
+
+
+@CHECKED
+@given(edited_serializations())
+@example(("5", 0))  # one id and no newline: an error, not an empty graph
+def test_bulk_parse_equals_line_loop(doc):
+    text, base = doc
+    assert parse_outcome(parse_edge_list, text, base) == parse_outcome(_parse_lines, text, base)
 
 
 @CHECKED
