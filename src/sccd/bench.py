@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import median
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import __version__
 from .engine import InternalCorrectnessError, Mode, assemble_partition, run
@@ -40,6 +40,8 @@ FAMILIES = ("ER", "BA", "WS")
 WS_LATTICE_K = 4
 
 TIMING_REPS = 5
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,12 @@ def expected_cost_ba(n: int, m: int) -> CostEstimate:
     return CostEstimate(2.0 * m, avg_path)
 
 
-def expected_cost_ws(n: int, K: int, p: float | None = None) -> tuple[CostEstimate, CostEstimate]:
+def expected_cost_ws(n: int, K: int) -> tuple[CostEstimate, CostEstimate]:
     """Limiting cost estimates for a rewired ring lattice with degree ``K``.
 
     Average path length tends to n/(2K) with no rewiring and to
-    ln(n)/ln(K) under full rewiring; both limits are returned (the
-    rewiring probability ``p`` is accepted for call-site symmetry but
-    the estimates bracket the whole range).
+    ln(n)/ln(K) under full rewiring; both limits are returned, and they
+    bracket every rewiring probability.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
@@ -181,16 +182,16 @@ def _generate(family: str, parameter_set: int, n: int, seed: int) -> tuple[Digra
     return gen_watts_strogatz(*args, seed), f"K={args[1]};p={args[2]}"
 
 
-def _median_time(fn: Callable[[], object]) -> float:
-    # One discarded warm-up, then the median of TIMING_REPS monotonic-clock timings.
-    fn()
+def _median_time(fn: Callable[[], T]) -> tuple[T, float]:
+    # The untimed warm-up call's result, and the median of TIMING_REPS monotonic-clock timings.
+    result = fn()
     times = []
     for _ in range(TIMING_REPS):
         t0 = time.perf_counter()
         fn()
         t1 = time.perf_counter()
         times.append(t1 - t0)
-    return median(times)
+    return result, median(times)
 
 
 def _record_seed(base_seed: int, parameter_set: int, n: int, replicate: int) -> int:
@@ -208,15 +209,15 @@ def _check_and_record(
 ) -> ExperimentRecord:
     g, params = _generate(family, parameter_set, n, seed)
     stats = graph_stats(g)
-    result = run(g, mode=mode)
+    result, t_consensus = _median_time(lambda: run(g, mode=mode))
     partition = assemble_partition(g, result)
-    reference = scc_kosaraju(g)
+    reference, t_kosaraju = _median_time(lambda: scc_kosaraju(g))
     rounds_max = max(result.rounds_per_node)
     correct = partitions_equal(partition, reference) and rounds_max == stats.finite_diameter + 1
     t_fw = None
     if with_floyd_warshall:
-        correct = correct and floyd_warshall_diameter(g) == rounds_max - 1
-        t_fw = _median_time(lambda: floyd_warshall_diameter(g))
+        fw_diameter, t_fw = _median_time(lambda: floyd_warshall_diameter(g))
+        correct = correct and fw_diameter == rounds_max - 1
     if not correct:
         raise InternalCorrectnessError(
             f"mismatch on {family} set {parameter_set}, n={n}, seed={seed}: "
@@ -238,8 +239,8 @@ def _check_and_record(
         num_sccs=stats.num_sccs,
         rounds_max=rounds_max,
         element_ops=result.element_ops,
-        t_consensus=_median_time(lambda: run(g, mode=mode)),
-        t_kosaraju=_median_time(lambda: scc_kosaraju(g)),
+        t_consensus=t_consensus,
+        t_kosaraju=t_kosaraju,
         t_floyd_warshall=t_fw,
         correct=correct,
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -17,7 +17,6 @@ class SccPartition:
 
     n: int
     components: tuple[frozenset[int], ...]
-    component_of: dict[int, int] = field(repr=False, compare=False)
 
     @classmethod
     def from_components(cls, n: int, components: Iterable[Iterable[int]]) -> SccPartition:
@@ -31,12 +30,15 @@ class SccPartition:
             seen |= comp
         if seen != set(range(n)):
             raise ValueError(f"components do not cover 0..{n - 1}")
-        component_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        return cls(n=n, components=tuple(comps), component_of=component_of)
+        return cls(n=n, components=tuple(comps))
 
     @property
     def num_components(self) -> int:
         return len(self.components)
 
     def component_containing(self, v: int) -> frozenset[int]:
-        return self.components[self.component_of[v]]
+        """The component holding ``v``; ``KeyError`` if ``v`` is not in ``0..n-1``."""
+        for comp in self.components:
+            if v in comp:
+                return comp
+        raise KeyError(v)

@@ -77,9 +77,10 @@ def brute_force_sccs(g: Digraph) -> SccPartition:
 def condensation_is_acyclic(g: Digraph, partition: SccPartition) -> bool:
     """Kahn topological sort on the component graph succeeds iff it is a DAG."""
     k = partition.num_components
+    label = {v: c for c, comp in enumerate(partition.components) for v in comp}
     succ: list[set[int]] = [set() for _ in range(k)]
     for u, v in g.edges:
-        cu, cv = partition.component_of[u], partition.component_of[v]
+        cu, cv = label[u], label[v]
         if cu != cv:
             succ[cu].add(cv)
     indeg = [0] * k

@@ -174,7 +174,7 @@ def test_criterion_6_expected_cost_formulas():
     assert close(ba.expected_avg_path_length, ba_path)
     assert close(ba.expected_cost, 4 * ba_path)
 
-    lattice, rewired = expected_cost_ws(500, 4, 0.5)
+    lattice, rewired = expected_cost_ws(500, 4)
     assert close(lattice.expected_cost, mp.mpf(500) / 2)
     assert close(rewired.expected_cost, 4 * mp.log(500) / mp.log(4))
     print("ACCEPTANCE 6 PASS: cost formulas match 50-digit re-evaluations to 1e-9")

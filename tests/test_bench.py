@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
+from sccd import bench
 from sccd.bench import (
     CSV_COLUMNS,
     EULER_MASCHERONI,
     ExperimentConfig,
     ExperimentRecord,
+    TIMING_REPS,
     diameter_benchmark,
     emit_csv,
     expected_cost_ba,
@@ -53,7 +56,7 @@ def test_expected_cost_ba_flags_near_singular_denominator():
 
 
 def test_expected_cost_ws_limits():
-    lattice, rewired = expected_cost_ws(500, 4, 0.5)
+    lattice, rewired = expected_cost_ws(500, 4)
     assert lattice.expected_cost == pytest.approx(250.0)
     assert rewired.expected_cost == pytest.approx(4 * math.log(500) / math.log(4), rel=1e-12)
     lattice, rewired = expected_cost_ws(5, 4)
@@ -160,6 +163,24 @@ def test_diameter_benchmark_checks_floyd_warshall(tmp_path):
         assert r.t_floyd_warshall is not None
         assert r.rounds_max == r.finite_diameter + 1
     emit_csv(records, tmp_path / "diam.csv")
+
+
+def test_each_record_calls_engine_and_oracles_once_per_timing(monkeypatch):
+    # The warm-up call's result is the one checked: no call beyond the timed ones.
+    names = ("run", "scc_kosaraju", "floyd_warshall_diameter")
+    calls: Counter = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(bench, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+    records = run_experiment(_tiny_config("BA", parameter_set=2, node_sizes=(60,), replicates=1))
+    assert len(records) == 1
+    assert calls == {"run": 1 + TIMING_REPS, "scc_kosaraju": 1 + TIMING_REPS}
+    calls.clear()
+    records = diameter_benchmark(seed=1)
+    assert calls == {name: len(records) * (1 + TIMING_REPS) for name in names}
 
 
 def test_emit_csv_shape_and_formatting(tmp_path):

@@ -172,3 +172,18 @@ def test_partition_validation():
         SccPartition.from_components(3, [{0, 1}, {1, 2}])  # overlap
     with pytest.raises(ValueError):
         SccPartition.from_components(2, [{0, 1}, set()])  # empty block
+
+
+@pytest.mark.parametrize("make", [pair_chain, complete5, tree9, cycle_with_tail])
+def test_component_containing_every_node(make):
+    g = make()
+    partition = scc_kosaraju(g)
+    reach = [reach_set(g, v) for v in range(g.n)]
+    for v in range(g.n):
+        mutual = {u for u in range(g.n) if u in reach[v] and v in reach[u]}
+        comp = partition.component_containing(v)
+        assert comp == mutual
+        assert comp in partition.components
+    for outside in (-1, g.n):
+        with pytest.raises(KeyError):
+            partition.component_containing(outside)
