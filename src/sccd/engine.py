@@ -26,6 +26,14 @@ state, so the order in which a round's updates run cannot change the
 result.  :func:`run` computes the updates on int bitsets, and its
 :class:`RunResult` keeps those masks; :class:`NodeState` views are
 built from them only when ``final`` is read or a trace is recorded.
+
+An update in :func:`run` does only the merge, one popcount, and sorts
+the node as grown or settled (size unchanged).  A settled node's reach
+set is complete, so its peers and round count are recorded then, and
+in global-rounds mode every node settles again in the last round.  The
+peers and round counts of nodes that grew, and the stable flags, are
+kept only for the trace.  The element-operation count is summed once
+per round over the previous-round sizes, before the updates run.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
+from operator import mul
 from typing import Sequence
 
 from .graphs import Digraph, NodeId
@@ -126,7 +135,19 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     stands for the ``i``-th smallest node of the owner's component, and a
     mask is never wider than that component.  The result keeps the final
     masks; ``trace`` adds one :class:`NodeState` snapshot per round
-    (round 0 is the initial state).  Raises
+    (round 0 is the initial state).
+
+    Each round splits the live nodes into those whose reach set grew and
+    those that settled.  Settled nodes get their peers and round count
+    after the updates and before the grown ones are written back, so the
+    peer test still reads the previous round's sizes; in global-rounds
+    mode they are rewritten every round until the last, in which every
+    node settles.  Only a traced run records the peers and round counts
+    of grown nodes and keeps a ``stable`` list.  ``element_ops`` adds,
+    per round, the previous-round sizes each update reads: its own and
+    its in-neighbours', summed over the live nodes in per-node-freeze
+    mode, and each node's size times one plus its out-degree in
+    global-rounds mode, where every node is live.  Raises
     :class:`GraphTooLargeError`, before allocating any mask, when the
     components could need more than :data:`MAX_MASK_BITS` bits.
     """
@@ -157,11 +178,18 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
         offset += len(nodes) + 1
     reach = own[:]
     size = [1] * n  # max_size, which always equals the size of the reach set
+    get_size = size.__getitem__
+    # A global round updates every node, so node j's size is read once for
+    # itself and once per out-neighbour.
+    weight = None if per_node else [1 + len(heads) for heads in g.out_adj]
     peers = [0] * n
-    stable = [False] * n
     rounds = [0] * n
     views: dict[tuple[int, int], frozenset[int]] = {}
-    history = [_snapshot(comps, reach, peers, stable, rounds, False, views)] if trace else None
+    if trace:
+        stable = [False] * n
+        history = [_snapshot(comps, reach, peers, stable, rounds, False, views)]
+    else:
+        history = None
     element_ops = 0
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
     round_no = 0
@@ -172,22 +200,43 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
             raise InternalCorrectnessError(
                 f"no convergence after {round_no - 1} rounds on {n} nodes"
             )
+        # Each update reads its own and its in-neighbours' previous-round sizes.
+        if per_node:
+            element_ops += sum(map(get_size, live)) + sum(
+                map(get_size, chain.from_iterable(map(in_adj.__getitem__, live)))
+            )
+        else:
+            element_ops += sum(map(mul, size, weight))
         # A node whose size repeats has an unchanged reach set, so only the
         # grown ones are written back, after every node has read the
         # previous round.
         grown = []
+        settled = []
         for v in live:
-            ins = in_adj[v]
             r = reach[v]
-            for j in ins:
+            for j in in_adj[v]:
                 r |= reach[j]
             s = r.bit_count()
-            element_ops += size[v] + sum(map(size.__getitem__, ins))
-            peers[v] = r & by_size[base[v] + s]
-            rounds[v] += 1
-            stable[v] = s == size[v]
-            if not stable[v]:
+            if s == size[v]:
+                settled.append(v)
+            else:
                 grown.append((v, r, s))
+        for v in settled:
+            peers[v] = reach[v] & by_size[base[v] + size[v]]
+            rounds[v] = round_no
+        if history is not None:
+            # Only the trace shows the nodes that grew; their peers read
+            # by_size before the write-back below.
+            for v in settled:
+                stable[v] = True
+            after = reach[:]
+            for v, r, s in grown:
+                peers[v] = r & by_size[base[v] + s]
+                rounds[v] = round_no
+                after[v] = r
+            # In global-rounds mode the frozen flag latches only on the last round.
+            latched = per_node or not grown
+            history.append(_snapshot(comps, after, peers, stable, rounds, latched, views))
         for v, r, s in grown:
             b = base[v]
             by_size[b + size[v]] ^= own[v]
@@ -198,10 +247,6 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
             live = [v for v, _, _ in grown]
         elif not grown:
             live = []
-        if history is not None:
-            # In global-rounds mode the frozen flag latches only on the last round.
-            latched = per_node or not live
-            history.append(_snapshot(comps, reach, peers, stable, rounds, latched, views))
     return RunResult(
         mode=mode,
         rounds_per_node=tuple(rounds),

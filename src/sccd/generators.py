@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Digraph
+from .graphs import MAX_NODES, Digraph
 
 
 def _orient(edges: list[tuple[int, int]], rng: random.Random) -> list[tuple[int, int]]:
@@ -21,8 +21,15 @@ def _orient(edges: list[tuple[int, int]], rng: random.Random) -> list[tuple[int,
     return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
 
 
+def _check_nodes(n: int) -> None:
+    # Refused before anything is allocated for the graph, as the parser does.
+    if n > MAX_NODES:
+        raise ValueError(f"n must be at most the limit of {MAX_NODES} nodes, got {n}")
+
+
 def check_erdos_renyi(n: int, m: int) -> None:
     """Raise ValueError unless :func:`gen_erdos_renyi` accepts ``n`` and ``m``."""
+    _check_nodes(n)
     capacity = n * (n - 1)
     if not 0 <= m <= capacity:
         raise ValueError(f"m must be in [0, {capacity}] for n={n}, got {m}")
@@ -30,12 +37,14 @@ def check_erdos_renyi(n: int, m: int) -> None:
 
 def check_barabasi_albert(n: int, m: int) -> None:
     """Raise ValueError unless :func:`gen_barabasi_albert` accepts ``n`` and ``m``."""
+    _check_nodes(n)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
 
 
 def check_watts_strogatz(n: int, K: int, p: float) -> None:
     """Raise ValueError unless :func:`gen_watts_strogatz` accepts ``n``, ``K`` and ``p``."""
+    _check_nodes(n)
     if K % 2 != 0:
         raise ValueError(f"K must be even, got {K}")
     if K >= n:

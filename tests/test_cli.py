@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import pytest
 
 from sccd.cli import MAX_CHECK_NODES, main
+from sccd.graphs import MAX_NODES
 
 from conftest import PAIR_CHAIN_TEXT
 from tables import GOLDEN_PAIR_CHAIN, render_golden
@@ -267,4 +269,26 @@ def test_bench_size_the_generator_refuses_exits_2(tmp_path, capsys):
     assert main(["bench", "--family", "ba", "--param-set", "2", "--sizes", "500", "40",
                  "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: need 1 <= m < n, got m=50, n=40\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("family", ["er", "ba", "ws"])
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_generated_node_count_above_cap_exits_2(tmp_path, capsys, command, family):
+    # Refused before anything is allocated for the MAX_NODES + 1 nodes.
+    n = str(MAX_NODES + 1)
+    out = str(tmp_path / "x.csv")
+    if command == "gen":
+        argv = ["gen", family, "--n", n, "--m", "0" if family == "er" else "3", "--seed", "1"]
+    else:
+        argv = ["bench", "--family", family, "--sizes", n, "--seed", "1", "--out", out]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"limit of {MAX_NODES} nodes" in capsys.readouterr().err
+    assert peak < 4 * 2**20
     assert not (tmp_path / "x.csv").exists()

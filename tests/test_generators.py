@@ -3,11 +3,15 @@ from __future__ import annotations
 import pytest
 
 from sccd.generators import (
+    check_barabasi_albert,
+    check_erdos_renyi,
+    check_watts_strogatz,
     gen_barabasi_albert,
     gen_erdos_renyi,
     gen_uniform_digraph,
     gen_watts_strogatz,
 )
+from sccd.graphs import MAX_NODES
 
 
 def test_er_exact_edge_count():
@@ -84,6 +88,16 @@ def test_ws_rejects_bad_parameters():
         gen_watts_strogatz(4, 4, 0.2, seed=0)  # K >= n
     with pytest.raises(ValueError):
         gen_watts_strogatz(10, 4, 1.5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [(check_erdos_renyi, (0,)), (check_barabasi_albert, (3,)), (check_watts_strogatz, (4, 0.2))],
+)
+def test_generator_checks_refuse_node_counts_above_the_limit(check, args):
+    check(MAX_NODES, *args)  # the check alone; nothing is generated at the limit
+    with pytest.raises(ValueError, match=f"limit of {MAX_NODES} nodes, got {MAX_NODES + 1}"):
+        check(MAX_NODES + 1, *args)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Differential properties over arbitrary small digraphs.
 
-Each drawn graph is checked in both modes against the reference engine,
-Kosaraju, the brute-force construction and BFS distances.  The three
-diameter oracles are checked against each other, on dense graphs too.
+Each drawn graph is checked in both modes against the reference engine
+(traced and untraced runs), Kosaraju, the brute-force construction and
+BFS distances.  The three diameter oracles are checked against each
+other, on dense graphs too.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
 against adjacency built by hand from the drawn pairs.  Its bulk path is
@@ -279,6 +280,13 @@ def test_engine_equals_reference_engine(g):
         assert result.final == ref.history[-1], mode
         assert result.rounds_per_node == ref.rounds_per_node, mode
         assert result.element_ops == ref.element_ops, mode
+        # Without a trace, the nodes that grew keep no peers or round counts
+        # until they settle; the result must not show it.
+        untraced = run(g, mode=mode)
+        assert untraced.history is None, mode
+        for name in ("rounds_per_node", "element_ops", "components", "reach", "peers"):
+            assert getattr(untraced, name) == getattr(result, name), (mode, name)
+        assert untraced.final == ref.final, mode
 
 
 @CHECKED
