@@ -220,7 +220,7 @@ def _check_and_record(
         correct = correct and fw_diameter == rounds_max - 1
     if not correct:
         raise InternalCorrectnessError(
-            f"mismatch on {family} set {parameter_set}, n={n}, seed={seed}: "
+            f"mismatch on {family} set {parameter_set}, n={n}, seed={seed}, mode={mode.value}: "
             f"engine D={rounds_max - 1}, oracle D={stats.finite_diameter}, "
             f"engine components={partition.num_components}, "
             f"oracle components={reference.num_components}\n"
@@ -236,7 +236,7 @@ def _check_and_record(
         m_edges=stats.m,
         d_in_max=stats.d_in_max,
         finite_diameter=stats.finite_diameter,
-        num_sccs=stats.num_sccs,
+        num_sccs=reference.num_components,
         rounds_max=rounds_max,
         element_ops=result.element_ops,
         t_consensus=t_consensus,

@@ -29,11 +29,12 @@ built from them only when ``final`` is read or a trace is recorded.
 
 An update in :func:`run` does only the merge, one popcount, and sorts
 the node as grown or settled (size unchanged).  A settled node's reach
-set is complete, so its peers and round count are recorded then, and
-in global-rounds mode every node settles again in the last round.  The
-peers and round counts of nodes that grew, and the stable flags, are
-kept only for the trace.  The element-operation count is summed once
-per round over the previous-round sizes, before the updates run.
+set is complete, so its peers and round count are recorded then; in
+global-rounds mode every node settles again in the last round, and an
+untraced run records them only in that round.  The peers and round
+counts of nodes that grew, and the stable flags, are kept only for the
+trace.  The element-operation count is summed once per round over the
+previous-round sizes, before the updates run.
 """
 
 from __future__ import annotations
@@ -140,11 +141,12 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     Each round splits the live nodes into those whose reach set grew and
     those that settled.  Settled nodes get their peers and round count
     after the updates and before the grown ones are written back, so the
-    peer test still reads the previous round's sizes; in global-rounds
-    mode they are rewritten every round until the last, in which every
-    node settles.  Only a traced run records the peers and round counts
-    of grown nodes and keeps a ``stable`` list.  ``element_ops`` adds,
-    per round, the previous-round sizes each update reads: its own and
+    peer test still reads the previous round's sizes.  In global-rounds
+    mode every node settles in the last round, so an untraced run writes
+    them only then; a traced run writes them every round.  Only a traced
+    run records the peers and round counts of grown nodes and keeps a
+    ``stable`` list.  ``element_ops`` adds, per round, the
+    previous-round sizes each update reads: its own and
     its in-neighbours', summed over the live nodes in per-node-freeze
     mode, and each node's size times one plus its out-degree in
     global-rounds mode, where every node is live.  Raises
@@ -221,9 +223,12 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
                 settled.append(v)
             else:
                 grown.append((v, r, s))
-        for v in settled:
-            peers[v] = reach[v] & by_size[base[v] + size[v]]
-            rounds[v] = round_no
+        # Untraced, a global run's values before its last round are all
+        # overwritten then, so only that round writes them.
+        if per_node or not grown or history is not None:
+            for v in settled:
+                peers[v] = reach[v] & by_size[base[v] + size[v]]
+                rounds[v] = round_no
         if history is not None:
             # Only the trace shows the nodes that grew; their peers read
             # by_size before the write-back below.

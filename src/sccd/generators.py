@@ -21,6 +21,15 @@ def _orient(edges: list[tuple[int, int]], rng: random.Random) -> list[tuple[int,
     return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
 
 
+def _digraph(n: int, pairs: list[tuple[int, int]]) -> Digraph:
+    # The pairs are ints in range by construction, so they skip
+    # Digraph.from_edges' conversion and range pass; only its count check
+    # is left, raised where from_edges raised it.
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    return Digraph._build(n, pairs)
+
+
 def _check_nodes(n: int) -> None:
     # Refused before anything is allocated for the graph, as the parser does.
     if n > MAX_NODES:
@@ -67,7 +76,7 @@ def gen_erdos_renyi(n: int, m: int, seed: int) -> Digraph:
         u, r = divmod(idx, n - 1)
         v = r if r < u else r + 1
         edges.append((u, v))
-    return Digraph.from_edges(n, edges)
+    return _digraph(n, edges)
 
 
 def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
@@ -96,7 +105,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
         for t in sorted(targets):
             edges.append((new, t))
             repeated.extend((new, t))
-    return Digraph.from_edges(n, _orient(edges, rng))
+    return _digraph(n, _orient(edges, rng))
 
 
 def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
@@ -133,7 +142,7 @@ def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
                 adj[w].add(u)
                 edges[pos] = (u, w)
             pos += 1
-    return Digraph.from_edges(n, _orient(edges, rng))
+    return _digraph(n, _orient(edges, rng))
 
 
 def gen_uniform_digraph(n: int, p: float, seed: int) -> Digraph:
@@ -147,4 +156,4 @@ def gen_uniform_digraph(n: int, p: float, seed: int) -> Digraph:
         for v in range(n)
         if u != v and rng.random() < p
     ]
-    return Digraph.from_edges(n, edges)
+    return _digraph(n, edges)

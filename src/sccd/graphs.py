@@ -57,7 +57,10 @@ class Digraph:
 
     @classmethod
     def _build(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
-        # The one adjacency builder: the caller has checked every pair.
+        # The one adjacency builder.  Every pair must be an int pair in
+        # range: from_edges and the parsers check them first, and the
+        # generators build them in range.  Any other caller goes through
+        # from_edges.
         # A list of fewer than two heads is already sorted and repeat-free;
         # skipping the set there keeps large sparse graphs cheap.  Walking
         # out_adj in tail order appends each in-list already sorted.

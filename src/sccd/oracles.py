@@ -94,26 +94,33 @@ def bfs_finite_diameter(g: Digraph) -> int:
     and clears the ``seen`` bits, so it costs one OR per frontier node
     instead of one check per edge.  The next frontier's ids are read bit
     by bit from a sparse mask (under one set bit in 8) and from the
-    binary digits of a denser one.
+    binary digits of a denser one.  A walk ends when a step finds no new
+    node, or as soon as ``seen`` holds all ``n`` nodes: the source's
+    eccentricity is then the depth just reached, and its last frontier is
+    neither read nor expanded.
     """
     if g.n < 1:
         raise ValueError("bfs_finite_diameter requires a nonempty graph")
     n = g.n
     out_mask = [sum(1 << w for w in heads) for heads in g.out_adj]
+    everyone = (1 << n) - 1
     best = 0
     for s in range(n):
         seen = 1 << s
         frontier = [s]
-        # No node lies more than n - 1 steps from s, so the walk breaks
-        # by depth n - 1.
-        for depth in range(n):
+        # Every step reaches a new node, so the walk ends by depth n - 1.
+        depth = 0
+        while True:
             nxt = 0
             for u in frontier:
                 nxt |= out_mask[u]
             nxt &= ~seen
             if not nxt:
                 break
+            depth += 1
             seen |= nxt
+            if seen == everyone:
+                break
             if nxt.bit_count() * 8 < nxt.bit_length():
                 frontier = _bits_one_by_one(nxt)
             else:

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from sccd import bench
+from sccd import bench, stats
 from sccd.bench import (
     CSV_COLUMNS,
     EULER_MASCHERONI,
@@ -22,7 +22,8 @@ from sccd.bench import (
     run_experiment,
     write_manifest,
 )
-from sccd.engine import Mode
+from sccd.engine import InternalCorrectnessError, Mode
+from sccd.partition import SccPartition
 
 
 def test_expected_cost_er_worked_values():
@@ -166,21 +167,44 @@ def test_diameter_benchmark_checks_floyd_warshall(tmp_path):
 
 
 def test_each_record_calls_engine_and_oracles_once_per_timing(monkeypatch):
-    # The warm-up call's result is the one checked: no call beyond the timed ones.
+    # The warm-up call's result is the one checked: no call beyond the timed
+    # ones.  graph_stats calls no Kosaraju: the record's SCC count comes from
+    # the checked reference partition.
     names = ("run", "scc_kosaraju", "floyd_warshall_diameter")
     calls: Counter = Counter()
-    for name in names:
-        def counted(*args, _fn=getattr(bench, name), _name=name, **kwargs):
-            calls[_name] += 1
+    for module, name, key in [(bench, name, name) for name in names] + [
+        (stats, "scc_kosaraju", "stats.scc_kosaraju")
+    ]:
+        def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(bench, name, counted)
+        monkeypatch.setattr(module, name, counted)
     records = run_experiment(_tiny_config("BA", parameter_set=2, node_sizes=(60,), replicates=1))
     assert len(records) == 1
     assert calls == {"run": 1 + TIMING_REPS, "scc_kosaraju": 1 + TIMING_REPS}
+    assert calls["stats.scc_kosaraju"] == 0
     calls.clear()
     records = diameter_benchmark(seed=1)
     assert calls == {name: len(records) * (1 + TIMING_REPS) for name in names}
+    assert calls["stats.scc_kosaraju"] == 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_mismatch_message_names_the_mode(monkeypatch, mode):
+    # Every node in one block: wrong for any graph with more than one SCC.
+    monkeypatch.setattr(
+        bench, "scc_kosaraju", lambda g: SccPartition.from_components(g.n, [range(g.n)])
+    )
+    cfg = ExperimentConfig(
+        family="ER", parameter_set=1, node_sizes=(20,), replicates=1, seed=42, mode=mode
+    )
+    with pytest.raises(InternalCorrectnessError) as excinfo:
+        run_experiment(cfg)
+    message = str(excinfo.value)
+    assert f"mode={mode.value}:" in message
+    assert "mismatch on ER set 1, n=20, seed=" in message
+    assert "oracle components=1" in message
 
 
 def test_emit_csv_shape_and_formatting(tmp_path):

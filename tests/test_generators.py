@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from sccd.bench import _generate
 from sccd.generators import (
     check_barabasi_albert,
     check_erdos_renyi,
@@ -11,7 +14,7 @@ from sccd.generators import (
     gen_uniform_digraph,
     gen_watts_strogatz,
 )
-from sccd.graphs import MAX_NODES
+from sccd.graphs import MAX_NODES, serialize_edge_list
 
 
 def test_er_exact_edge_count():
@@ -120,3 +123,33 @@ def test_uniform_digraph_density():
     assert g.m == 0
     g = gen_uniform_digraph(50, 1.0, seed=0)
     assert g.m == 50 * 49
+
+
+# sha256 of serialize_edge_list of one graph per family at the bench's n=500
+# parameters, taken while the generators still built through from_edges.
+PINNED_GRAPH_DIGESTS = [
+    ("ER", 2, 11, 500, "a425e7b1f2788539bde3d5e8eb0ba2914404901c0bd7a3bc45565a58a595ae5d"),
+    ("BA", 2, 12, 23725, "f176eca9c27ea1eeca232cfdd98a1bf00b8e9c06ae54b57f3dada59c4a2547db"),
+    ("WS", 1, 13, 1000, "c4e01a68e7cdb947140e694eb8376295b360f4cf54c1ec941a22dffe52829893"),
+]
+
+
+@pytest.mark.parametrize("family, parameter_set, seed, m, digest", PINNED_GRAPH_DIGESTS)
+def test_bench_graphs_are_pinned(family, parameter_set, seed, m, digest):
+    g, _ = _generate(family, parameter_set, 500, seed)
+    assert g.m == m
+    assert hashlib.sha256(serialize_edge_list(g).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_erdos_renyi(-1, 0, 0),
+        lambda: gen_erdos_renyi(-2, 3, 0),
+        lambda: gen_watts_strogatz(-1, -2, 0.5, 0),
+        lambda: gen_uniform_digraph(-1, 0.5, 0),
+    ],
+)
+def test_negative_node_counts_that_pass_the_checks_are_refused(make):
+    with pytest.raises(ValueError, match="node count must be >= 0, got -"):
+        make()

@@ -122,15 +122,19 @@ def test_bfs_finite_diameter_pinned_cases(monkeypatch):
     calls = _spy_on_reads(monkeypatch)
     # Every frontier of a path is one node, so the reads are bit by bit,
     # except for the frontiers {1} .. {7}: masks narrower than 8 bits are
-    # read from their digits.  Node w is a frontier once for each source below it.
+    # read from their digits.  Node w is a frontier once for each source
+    # below it, 1 + 2 + ... + 299 = 299 * 300 // 2 frontiers in all, 28 of
+    # them in {1} .. {7}.  Only the walk from 0 sees every node, so its
+    # last frontier, {299}, is not read: one bit-by-bit read fewer.
     path = Digraph.from_edges(300, [(i, i + 1) for i in range(299)] + [(150, 150)])
     assert bfs_finite_diameter(path) == 299
-    assert calls == {"_bits_one_by_one": 299 * 300 // 2 - 28, "_bits_from_digits": 28}
-    # From each source, the one frontier holds every other node.
+    assert calls == {"_bits_one_by_one": 299 * 300 // 2 - 28 - 1, "_bits_from_digits": 28}
+    # From each source, the one frontier holds every other node, so every
+    # walk has seen all nodes after one step and reads no frontier.
     calls.update(dict.fromkeys(calls, 0))
     complete = Digraph.from_edges(40, [(u, v) for u in range(40) for v in range(40) if u != v])
     assert bfs_finite_diameter(complete) == 1
-    assert calls == {"_bits_one_by_one": 0, "_bits_from_digits": 40}
+    assert calls == {"_bits_one_by_one": 0, "_bits_from_digits": 0}
 
 
 def test_floyd_warshall_worked_examples():

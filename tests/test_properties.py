@@ -3,7 +3,7 @@
 Each drawn graph is checked in both modes against the reference engine
 (traced and untraced runs), Kosaraju, the brute-force construction and
 BFS distances.  The three diameter oracles are checked against each
-other, on dense graphs too.
+other, on dense and on strongly connected graphs too.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
 against adjacency built by hand from the drawn pairs.  Its bulk path is
@@ -113,6 +113,21 @@ def dense_digraphs(draw) -> Digraph:
     p = draw(st.integers(0, 100)) / 100
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return Digraph.from_edges(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p])
+
+
+@st.composite
+def chorded_cycles(draw) -> Digraph:
+    """A cycle through 2 to MAX_N nodes plus drawn chords, ids shuffled.
+
+    The graph is strongly connected, so every BFS walk on it ends by
+    seeing every node, never by running out of new ones.
+    """
+    n = draw(st.integers(2, MAX_N))
+    node = st.integers(0, n - 1)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    ids = draw(st.permutations(range(n)))
+    return Digraph.from_edges(n, [(ids[u], ids[v]) for u, v in edges])
 
 
 graphs = st.one_of(digraphs(), tail_fed_cycles(), dags_of_cycles())
@@ -323,3 +338,10 @@ def test_diameter_oracles_agree(g):
 @given(dense_digraphs())
 def test_diameter_oracles_agree_on_dense_graphs(g):
     assert_diameter_oracles_agree(g)
+
+
+@CHECKED
+@given(chorded_cycles())
+def test_bfs_diameter_equals_all_pairs_on_strongly_connected_graphs(g):
+    assert scc_kosaraju(g).num_components == 1
+    assert bfs_finite_diameter(g) == all_pairs_bfs(g).finite_diameter()
