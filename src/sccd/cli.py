@@ -5,7 +5,8 @@ Subcommands: ``scc`` (component decomposition), ``diameter``, ``trace``
 and ``bench`` (experiment harness emitting CSV).  Exit codes: 0 on
 success, 2 on input or parameter errors (including a graph too large for
 the engine's memory limit), 3 when an internal correctness check fails
-or the engine raises on input that passed validation.
+or the engine raises on input that passed validation; an exit-3 message
+names the engine mode, so that it reproduces the failing run.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def cmd_diameter(args: argparse.Namespace) -> int:
     if args.check:
         fw = floyd_warshall_diameter(g)
         if fw != d:
-            print(f"check failed: floyd-warshall reports {fw}", file=sys.stderr)
+            print(f"check failed in {args.mode.value} mode: floyd-warshall reports {fw}",
+                  file=sys.stderr)
             return EXIT_INTERNAL
         print(f"check ok: floyd-warshall agrees ({fw})")
     return EXIT_OK
@@ -222,7 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalCorrectnessError as exc:
-        print(f"internal correctness violation: {exc}", file=sys.stderr)
+        # Only commands that run the engine raise it, and each has a mode.
+        print(f"internal correctness violation in {args.mode.value} mode: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

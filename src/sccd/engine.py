@@ -340,48 +340,43 @@ def _members(mask: int, nodes: Sequence[NodeId], views: dict) -> frozenset[int]:
 def assemble_partition(g: Digraph, result: RunResult) -> SccPartition:
     """Combine final peer sets into the component partition.
 
-    Each node joins the largest peer set it appears in (its own
-    singleton as fallback).  Under per-node freezing a node may have
+    Each node takes the label of the largest peer set it appears in, or
+    keeps a label of its own.  Under per-node freezing a node may have
     stopped with a subset of its component, but the component member
     that stabilized last holds the complete set, so the largest
-    candidate is the true component.  Overlapping candidates that are
-    not nested cannot come from a correct run and raise.
+    candidate is the true component.
 
-    One subset check per peer set is enough.  The chosen sets must be
-    disjoint, or building the partition raises.  Once they are, a peer
-    set ``p`` inside the set chosen by its smallest member lies inside
-    the one chosen set that holds every member of ``p``, so ``p`` is
-    nested in the set each of its members joins.
+    A correct run leaves every peer set with one label.  That one check
+    covers both faults: it fails exactly when two chosen sets overlap,
+    or when a peer set is not nested in the set its smallest member
+    joins.
     """
     n = result.n
     if g.n != n:
         raise ValueError(f"graph has {g.n} nodes but run has {n}")
-    # A one-node peer set {w} equals w's singleton fallback, so only
-    # distinct masks with two or more bits set are turned into sets; a
-    # one-node component has none.
+    # A one-node peer set {w} changes no label, so only distinct masks
+    # with two or more bits set are turned into sets; a one-node
+    # component has none.  Components are disjoint, so their sets are too.
     peers, views = result.peers, {}
-    peer_sets = dict.fromkeys(
+    peer_sets = [
         _members(mask, nodes, views)
         for nodes in result.components
         if len(nodes) > 1
         for mask in dict.fromkeys(peers[v] for v in nodes)
         if mask & (mask - 1)
-    )
-    best = [frozenset((v,)) for v in range(n)]
-    for p in peer_sets:
+    ]
+    # Node v's own label is v; peer set i has label n + i.  Larger sets
+    # are applied later, so each node ends with the largest that holds it.
+    label = list(range(n))
+    for i, p in sorted(enumerate(peer_sets, n), key=lambda ip: len(ip[1])):
         for v in p:
-            if len(p) > len(best[v]):
-                best[v] = p
+            label[v] = i
     for p in peer_sets:
-        u = min(p)
-        if not p <= best[u]:
+        if len({label[v] for v in p}) > 1:
             raise InternalCorrectnessError(
-                f"node {u} appears in non-nested peer sets {sorted(p)} and {sorted(best[u])}"
+                f"peer set {sorted(p)} overlaps more than one chosen set"
             )
-    try:
-        return SccPartition.from_components(n, dict.fromkeys(best))
-    except ValueError as exc:
-        raise InternalCorrectnessError(f"peer sets do not form a partition: {exc}") from exc
+    return SccPartition.from_labels(label)
 
 
 def finite_diameter_from_run(result: RunResult) -> int:
@@ -423,7 +418,7 @@ def render_result(result: RunResult, partition: SccPartition, base: int = 0) -> 
     """Structured text: components, per-node round counts, diameter."""
     lines = []
     for comp in partition.components:
-        lines.append("component: " + " ".join(str(v + base) for v in sorted(comp)))
+        lines.append("component: " + " ".join(str(v + base) for v in comp))
     lines.append("rounds: " + " ".join(str(r) for r in result.rounds_per_node))
     lines.append(f"diameter: {finite_diameter_from_run(result)}")
     return "\n".join(lines) + "\n"

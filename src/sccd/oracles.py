@@ -212,27 +212,26 @@ def scc_kosaraju(g: Digraph) -> SccPartition:
             else:
                 stack.pop()
                 order.append(u)
-    assigned = [False] * n
-    components: list[list[int]] = []
+    # Components are counted from 1, so an unlabelled node reads as 0.
+    label = [0] * n
+    count = 0
     for s in reversed(order):
-        if assigned[s]:
+        if label[s]:
             continue
-        comp = [s]
-        assigned[s] = True
+        count += 1
+        label[s] = count
         work = [s]
         while work:
             u = work.pop()
             for w in g.in_adj[u]:
-                if not assigned[w]:
-                    assigned[w] = True
-                    comp.append(w)
+                if not label[w]:
+                    label[w] = count
                     work.append(w)
-        components.append(comp)
-    return SccPartition.from_components(n, components)
+    return SccPartition.from_labels(label)
 
 
 def partitions_equal(a: SccPartition, b: SccPartition) -> bool:
     """Whether two partitions are the same family of sets."""
     if a.n != b.n:
         raise ValueError(f"partitions over different universes: {a.n} vs {b.n}")
-    return set(a.components) == set(b.components)
+    return a.labels == b.labels

@@ -3,42 +3,41 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Sequence
 
 
 @dataclass(frozen=True)
 class SccPartition:
-    """Disjoint nonempty node sets covering ``0..n-1``.
+    """Node ``v`` of ``0..n-1`` lies in component ``labels[v]``.
 
-    ``components`` is canonical (sorted by smallest member), so two
-    partitions over the same universe are equal iff they contain the
-    same sets.
+    Components are numbered ``0..num_components-1`` in order of their
+    smallest member.  That form is canonical, so two partitions over the
+    same universe are equal iff they have equal labels, and no node can
+    lie in two components or in none.
     """
 
-    n: int
-    components: tuple[frozenset[int], ...]
+    labels: tuple[int, ...]
+    num_components: int
 
     @classmethod
-    def from_components(cls, n: int, components: Iterable[Iterable[int]]) -> SccPartition:
-        comps = sorted((frozenset(c) for c in components), key=min)
-        seen: set[int] = set()
-        for comp in comps:
-            if not comp:
-                raise ValueError("empty component")
-            if seen & comp:
-                raise ValueError("components overlap")
-            seen |= comp
-        if seen != set(range(n)):
-            raise ValueError(f"components do not cover 0..{n - 1}")
-        return cls(n=n, components=tuple(comps))
+    def from_labels(cls, labels: Sequence[Hashable]) -> SccPartition:
+        """The partition whose components are the nodes sharing a label.
+
+        Any hashable labels are accepted; they are renumbered in order of
+        first appearance, which is the order of smallest member.
+        """
+        index: dict = {}
+        canonical = tuple([index.setdefault(x, len(index)) for x in labels])
+        return cls(labels=canonical, num_components=len(index))
 
     @property
-    def num_components(self) -> int:
-        return len(self.components)
+    def n(self) -> int:
+        return len(self.labels)
 
-    def component_containing(self, v: int) -> frozenset[int]:
-        """The component holding ``v``; ``KeyError`` if ``v`` is not in ``0..n-1``."""
-        for comp in self.components:
-            if v in comp:
-                return comp
-        raise KeyError(v)
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's members, ascending, in label order."""
+        members: list[list[int]] = [[] for _ in range(self.num_components)]
+        for v, c in enumerate(self.labels):
+            members[c].append(v)
+        return tuple(map(tuple, members))

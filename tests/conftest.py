@@ -62,22 +62,20 @@ def g_cycle_with_tail() -> Digraph:
 def brute_force_sccs(g: Digraph) -> SccPartition:
     """Quadratic mutual-reachability construction, independent of Kosaraju."""
     reach = [reach_set(g, v) for v in range(g.n)]
-    assigned = [False] * g.n
-    components = []
+    label = [None] * g.n
     for v in range(g.n):
-        if assigned[v]:
+        if label[v] is not None:
             continue
-        comp = {u for u in reach[v] if v in reach[u]}
-        for u in comp:
-            assigned[u] = True
-        components.append(comp)
-    return SccPartition.from_components(g.n, components)
+        for u in reach[v]:
+            if v in reach[u]:
+                label[u] = v
+    return SccPartition.from_labels(label)
 
 
 def condensation_is_acyclic(g: Digraph, partition: SccPartition) -> bool:
     """Kahn topological sort on the component graph succeeds iff it is a DAG."""
     k = partition.num_components
-    label = {v: c for c, comp in enumerate(partition.components) for v in comp}
+    label = partition.labels
     succ: list[set[int]] = [set() for _ in range(k)]
     for u, v in g.edges:
         cu, cv = label[u], label[v]

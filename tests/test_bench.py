@@ -194,7 +194,7 @@ def test_each_record_calls_engine_and_oracles_once_per_timing(monkeypatch):
 def test_mismatch_message_names_the_mode(monkeypatch, mode):
     # Every node in one block: wrong for any graph with more than one SCC.
     monkeypatch.setattr(
-        bench, "scc_kosaraju", lambda g: SccPartition.from_components(g.n, [range(g.n)])
+        bench, "scc_kosaraju", lambda g: SccPartition.from_labels([0] * g.n)
     )
     cfg = ExperimentConfig(
         family="ER", parameter_set=1, node_sizes=(20,), replicates=1, seed=42, mode=mode

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from sccd.cli import MAX_CHECK_NODES, main
+from sccd.engine import InternalCorrectnessError
 from sccd.graphs import MAX_NODES
 
 from conftest import PAIR_CHAIN_TEXT
@@ -95,6 +96,26 @@ def test_engine_fault_exits_3(chain_file, capsys, monkeypatch, name, error):
     cmd = "trace" if name == "trace_table" else "scc"
     assert main([cmd, chain_file, "--base", "1"]) == 3
     assert "internal correctness violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--global-rounds"]])
+def test_exit_3_messages_name_the_mode(chain_file, capsys, monkeypatch, flags):
+    mode = "global-rounds" if flags else "per-node-freeze"
+
+    def broken(*args, **kwargs):
+        raise InternalCorrectnessError("engine bug")
+
+    for name, commands in (("assemble_partition", ["scc"]), ("run", ["scc", "diameter", "trace"])):
+        with monkeypatch.context() as m:
+            m.setattr(f"sccd.cli.{name}", broken)
+            for cmd in commands:
+                assert main([cmd, chain_file, "--base", "1", *flags]) == 3
+                err = capsys.readouterr().err
+                assert err == f"internal correctness violation in {mode} mode: engine bug\n"
+    monkeypatch.setattr("sccd.cli.floyd_warshall_diameter", lambda g: -1)
+    assert main(["diameter", chain_file, "--base", "1", "--check", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err == f"check failed in {mode} mode: floyd-warshall reports -1\n"
 
 
 def test_diameter_command(chain_file, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from sccd.engine import (
@@ -16,7 +18,7 @@ from sccd.engine import (
     run,
 )
 from sccd.generators import gen_uniform_digraph
-from sccd.graphs import Digraph
+from sccd.graphs import Digraph, parse_edge_list
 from sccd.oracles import all_pairs_bfs, partitions_equal, reach_set, scc_kosaraju
 
 from conftest import complete5, cycle_with_tail, pair_chain, tree9
@@ -143,9 +145,7 @@ def test_partition_worked_graphs_both_modes():
     for mode in Mode:
         g = pair_chain()
         parts = assemble_partition(g, run(g, mode=mode))
-        assert set(parts.components) == {
-            frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})
-        }
+        assert set(parts.components) == {(0, 1), (2, 3), (4, 5)}
         k5 = complete5()
         assert assemble_partition(k5, run(k5, mode=mode)).num_components == 1
         t = tree9()
@@ -169,7 +169,9 @@ def test_cycle_with_tail_global_mode_peer_sets_are_exact():
     result = run(g, mode=Mode.GLOBAL_ROUNDS)
     reference = scc_kosaraju(g)
     for v in range(g.n):
-        assert result.final.states[v].peers == reference.component_containing(v)
+        assert result.final.states[v].peers == frozenset(
+            reference.components[reference.labels[v]]
+        )
 
 
 def test_assemble_rejects_non_nested_peer_sets():
@@ -202,6 +204,24 @@ def test_assemble_rejects_overlapping_chosen_sets():
     )
     with pytest.raises(InternalCorrectnessError, match="overlap"):
         assemble_partition(g, fake)
+
+
+def test_assembly_memory_per_node():
+    # One edge among 20,000 nodes: every node is a component of its own.
+    # Assembly builds no set for a one-node component, and the partition
+    # keeps one label per node.
+    n = 20_000
+    g = parse_edge_list(f"# nodes: {n}\n0 1\n")
+    result = run(g)
+    tracemalloc.start()
+    try:
+        partition = assemble_partition(g, result)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert partition.num_components == n
+    assert peak < 256 * n
+    assert held < 64 * n
 
 
 def test_assemble_rejects_mismatched_graph():
@@ -238,7 +258,7 @@ def test_last_stabilizing_member_holds_full_component():
             top = max(ecc.values())
             for v in comp:
                 if ecc[v] == top:
-                    assert result.final.states[v].peers == comp
+                    assert result.final.states[v].peers == frozenset(comp)
 
 
 def test_determinism_across_modes_and_schedules():
@@ -267,7 +287,7 @@ def test_masks_are_local_to_weak_components():
     assert result.final.states[n - 1].reach == frozenset({n - 2, n - 1})
     assert result.final.states[n - 1].peers == frozenset({n - 2, n - 1})
     assert assemble_partition(g, result).components == tuple(
-        frozenset({v, v + 1}) for v in range(0, n, 2)
+        (v, v + 1) for v in range(0, n, 2)
     )
 
 

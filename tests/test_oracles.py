@@ -28,16 +28,14 @@ from conftest import (
 
 def test_kosaraju_worked_graphs():
     parts = scc_kosaraju(pair_chain())
-    assert set(parts.components) == {
-        frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})
-    }
+    assert set(parts.components) == {(0, 1), (2, 3), (4, 5)}
     assert scc_kosaraju(complete5()).num_components == 1
     assert scc_kosaraju(tree9()).num_components == 9
 
 
 def test_kosaraju_cycle_with_tail():
     parts = scc_kosaraju(cycle_with_tail())
-    assert frozenset({0, 1, 2}) in parts.components
+    assert (0, 1, 2) in parts.components
     assert parts.num_components == 11
 
 
@@ -155,27 +153,18 @@ def test_floyd_warshall_agrees_with_bfs_on_randoms():
 
 
 def test_partitions_equal_is_order_insensitive():
-    a = SccPartition.from_components(3, [{0, 1}, {2}])
-    b = SccPartition.from_components(3, [{2}, {1, 0}])
-    c = SccPartition.from_components(3, [{0}, {1, 2}])
+    a = SccPartition.from_labels([0, 0, 2])
+    b = SccPartition.from_labels([5, 5, 1])
+    c = SccPartition.from_labels([0, 1, 1])
     assert partitions_equal(a, b)
     assert not partitions_equal(a, c)
 
 
 def test_partitions_equal_rejects_universe_mismatch():
-    a = SccPartition.from_components(2, [{0, 1}])
-    b = SccPartition.from_components(3, [{0, 1, 2}])
+    a = SccPartition.from_labels([0, 0])
+    b = SccPartition.from_labels([0, 0, 0])
     with pytest.raises(ValueError):
         partitions_equal(a, b)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        SccPartition.from_components(3, [{0, 1}])  # not a cover
-    with pytest.raises(ValueError):
-        SccPartition.from_components(3, [{0, 1}, {1, 2}])  # overlap
-    with pytest.raises(ValueError):
-        SccPartition.from_components(2, [{0, 1}, set()])  # empty block
 
 
 @pytest.mark.parametrize("make", [pair_chain, complete5, tree9, cycle_with_tail])
@@ -185,9 +174,6 @@ def test_component_containing_every_node(make):
     reach = [reach_set(g, v) for v in range(g.n)]
     for v in range(g.n):
         mutual = {u for u in range(g.n) if u in reach[v] and v in reach[u]}
-        comp = partition.component_containing(v)
+        comp = frozenset(partition.components[partition.labels[v]])
         assert comp == mutual
-        assert comp in partition.components
-    for outside in (-1, g.n):
-        with pytest.raises(KeyError):
-            partition.component_containing(outside)
+        assert tuple(sorted(comp)) in partition.components

@@ -4,6 +4,7 @@ Each drawn graph is checked in both modes against the reference engine
 (traced and untraced runs), Kosaraju, the brute-force construction and
 BFS distances.  The three diameter oracles are checked against each
 other, on dense and on strongly connected graphs too.
+Partition labels are checked to be canonical on drawn label lists.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
 against adjacency built by hand from the drawn pairs.  Its bulk path is
@@ -30,6 +31,7 @@ from sccd.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
+from sccd.partition import SccPartition
 from sccd.oracles import (
     all_pairs_bfs,
     bfs_finite_diameter,
@@ -345,3 +347,34 @@ def test_diameter_oracles_agree_on_dense_graphs(g):
 def test_bfs_diameter_equals_all_pairs_on_strongly_connected_graphs(g):
     assert scc_kosaraju(g).num_components == 1
     assert bfs_finite_diameter(g) == all_pairs_bfs(g).finite_diameter()
+
+
+@st.composite
+def label_pairs(draw) -> tuple[list[int], list[int]]:
+    """Two label lists over the same nodes; half the time the second renames the first."""
+    n = draw(st.integers(0, 12))
+    labels = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    x = draw(labels)
+    if draw(st.booleans()):
+        names = draw(st.lists(st.integers(), min_size=7, max_size=7, unique=True))
+        return x, [names[c + 3] for c in x]
+    return x, draw(labels)
+
+
+def node_sets(labels: list[int]) -> set[frozenset[int]]:
+    return {frozenset(v for v, c in enumerate(labels) if c == k) for k in set(labels)}
+
+
+@CHECKED
+@given(label_pairs())
+def test_partition_labels_are_canonical(pair):
+    x, y = pair
+    a, b = SccPartition.from_labels(x), SccPartition.from_labels(y)
+    assert (a == b) == (node_sets(x) == node_sets(y))
+    for p, labels in ((a, x), (b, y)):
+        comps = p.components
+        assert p.n == len(labels) and p.num_components == len(comps)
+        assert {frozenset(c) for c in comps} == node_sets(labels)
+        assert all(list(c) == sorted(set(c)) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        assert all(v in comps[p.labels[v]] for v in range(p.n))
