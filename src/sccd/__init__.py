@@ -17,25 +17,19 @@ from .engine import (
 from .generators import (
     gen_barabasi_albert,
     gen_erdos_renyi,
-    gen_uniform_digraph,
     gen_watts_strogatz,
 )
 from .graphs import (
     Digraph,
     EdgeListError,
-    in_neighbors,
     max_in_degree,
-    out_neighbors,
     parse_edge_list,
     serialize_edge_list,
 )
 from .oracles import (
-    DistanceMatrix,
-    all_pairs_bfs,
     bfs_finite_diameter,
     floyd_warshall_diameter,
     partitions_equal,
-    reach_set,
     scc_kosaraju,
 )
 from .partition import SccPartition
@@ -43,7 +37,6 @@ from .stats import GraphStats, graph_stats
 
 __all__ = [
     "Digraph",
-    "DistanceMatrix",
     "EdgeListError",
     "GraphStats",
     "InternalCorrectnessError",
@@ -52,22 +45,17 @@ __all__ = [
     "RoundSnapshot",
     "RunResult",
     "SccPartition",
-    "all_pairs_bfs",
     "assemble_partition",
     "bfs_finite_diameter",
     "finite_diameter_from_run",
     "floyd_warshall_diameter",
     "gen_barabasi_albert",
     "gen_erdos_renyi",
-    "gen_uniform_digraph",
     "gen_watts_strogatz",
     "graph_stats",
-    "in_neighbors",
     "max_in_degree",
-    "out_neighbors",
     "parse_edge_list",
     "partitions_equal",
-    "reach_set",
     "render_result",
     "run",
     "scc_kosaraju",

@@ -1,12 +1,12 @@
 """Seeded random digraph generators.
 
-Three classical families plus a uniform random digraph used by the
-property-test corpus.  The classical models are undirected, so after
-building the undirected edge set each edge is assigned a single
-uniformly random direction from the same seeded stream; bidirectional
-copies would merge every connected component into one strongly
-connected component, which is not what these families are used for
-here.  Equal seeds give identical graphs.
+Three classical families: Erdos-Renyi, Barabasi-Albert and
+Watts-Strogatz.  The latter two are undirected models, so after building
+the undirected edge set each edge is assigned a single uniformly random
+direction from the same seeded stream; bidirectional copies would merge
+every connected component into one strongly connected component, which
+is not what these families are used for here.  Equal seeds give
+identical graphs.
 """
 
 from __future__ import annotations
@@ -144,16 +144,3 @@ def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
             pos += 1
     return _digraph(n, _orient(edges, rng))
 
-
-def gen_uniform_digraph(n: int, p: float, seed: int) -> Digraph:
-    """Each ordered pair (u, v), u != v, becomes an edge with probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < p
-    ]
-    return _digraph(n, edges)

@@ -76,30 +76,9 @@ class Digraph:
         return cls(n=n, in_adj=tuple(map(tuple, ins)), out_adj=out_adj)
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The ``(u, v)`` pairs, derived from ``out_adj``."""
-        return frozenset((u, v) for u, heads in enumerate(self.out_adj) for v in heads)
-
-    @property
     def m(self) -> int:
         """Number of directed edges."""
         return sum(map(len, self.out_adj))
-
-    def check_node(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise ValueError(f"node {v} out of range for n={self.n}")
-
-
-def in_neighbors(g: Digraph, v: NodeId) -> set[NodeId]:
-    """Sources of edges entering ``v`` (contains ``v`` only on a self-loop)."""
-    g.check_node(v)
-    return set(g.in_adj[v])
-
-
-def out_neighbors(g: Digraph, v: NodeId) -> set[NodeId]:
-    """Targets of edges leaving ``v``."""
-    g.check_node(v)
-    return set(g.out_adj[v])
 
 
 def max_in_degree(g: Digraph) -> int:

@@ -1,89 +1,23 @@
-"""Classical baselines: Kosaraju SCCs, BFS distances, Floyd-Warshall.
+"""Classical baselines: Kosaraju SCCs, the BFS diameter, Floyd-Warshall.
 
 These are the independent reference implementations the round engine is
-checked against, and the comparison subjects of the benchmark harness.
-All of them are pure functions of an immutable graph.  The BFS diameter
-walks forward over out-neighbours from one source at a time, unlike the
-engine's merge of in-neighbour reach sets from all sources at once, so
-that a bug in one cannot hide the same bug in the other.
+checked against by ``sccd bench`` and ``sccd diameter --check``, and the
+comparison subjects of the benchmark harness.  All of them are pure
+functions of an immutable graph.  The BFS diameter walks forward over
+out-neighbours from one source at a time, unlike the engine's merge of
+in-neighbour reach sets from all sources at once, so that a bug in one
+cannot hide the same bug in the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
-from .graphs import Digraph, NodeId
+from .graphs import Digraph
 from .partition import SccPartition
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Shortest directed path lengths; unreachable pairs hold ``inf``."""
-
-    n: int
-    rows: tuple[tuple[float, ...], ...]
-
-    def distance(self, u: int, v: int) -> float:
-        return self.rows[u][v]
-
-    def finite_diameter(self) -> int:
-        """Largest finite entry; 0 when no pair is connected."""
-        best = 0
-        for row in self.rows:
-            for d in row:
-                if d != INF and d > best:
-                    best = d
-        return int(best)
-
-    def in_eccentricity(self, v: int) -> int:
-        """Largest finite distance from any node into ``v``."""
-        best = 0
-        for row in self.rows:
-            d = row[v]
-            if d != INF and d > best:
-                best = d
-        return int(best)
-
-
-def _bfs_levels(adj: tuple[tuple[int, ...], ...], n: int, source: int) -> list[list[int]]:
-    # Level-by-level BFS: level d holds the nodes at distance d from source.
-    seen = bytearray(n)
-    seen[source] = 1
-    levels = [[source]]
-    while True:
-        nxt = []
-        for u in levels[-1]:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    nxt.append(w)
-        if not nxt:
-            return levels
-        levels.append(nxt)
-
-
-def reach_set(g: Digraph, v: NodeId) -> set[NodeId]:
-    """All nodes with a directed path to ``v``, including ``v`` itself."""
-    g.check_node(v)
-    return {u for level in _bfs_levels(g.in_adj, g.n, v) for u in level}
-
-
-def all_pairs_bfs(g: Digraph) -> DistanceMatrix:
-    """Exact unweighted shortest paths, one BFS per source."""
-    if g.n < 1:
-        raise ValueError("all_pairs_bfs requires a nonempty graph")
-    rows = []
-    for s in range(g.n):
-        row = [INF] * g.n
-        for d, level in enumerate(_bfs_levels(g.out_adj, g.n, s)):
-            for u in level:
-                row[u] = d
-        rows.append(tuple(row))
-    return DistanceMatrix(n=g.n, rows=tuple(rows))
 
 
 def bfs_finite_diameter(g: Digraph) -> int:
@@ -153,8 +87,8 @@ def floyd_warshall_diameter(g: Digraph) -> int:
     """Finite diameter via the cubic all-pairs relaxation, unit weights.
 
     Kept as a genuinely independent route to the same number as
-    :func:`all_pairs_bfs`; also the classical subject of the diameter
-    benchmark.
+    :func:`bfs_finite_diameter`; also the classical subject of the
+    diameter benchmark.
     """
     if g.n < 1:
         raise ValueError("floyd_warshall_diameter requires a nonempty graph")

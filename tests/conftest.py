@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+from math import inf as INF
+
 import pytest
 
 from sccd.graphs import Digraph
-from sccd.oracles import reach_set
 from sccd.partition import SccPartition
 
 # The three worked graphs used throughout: a chain of three 2-cycles,
@@ -59,17 +60,37 @@ def g_cycle_with_tail() -> Digraph:
     return cycle_with_tail()
 
 
+def distance_rows(g: Digraph) -> list[list[float]]:
+    """``rows[u][v]``: shortest ``u -> v`` path length, ``INF`` if none.  One plain
+    BFS per source over ``out_adj``, sharing no code with the engine or the oracles."""
+    rows = []
+    for s in range(g.n):
+        row = [INF] * g.n
+        row[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.out_adj[u]:
+                    if row[w] == INF:
+                        row[w] = row[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(row)
+    return rows
+
+
+def edge_set(g: Digraph) -> set[tuple[int, int]]:
+    return {(u, v) for u, heads in enumerate(g.out_adj) for v in heads}
+
+
 def brute_force_sccs(g: Digraph) -> SccPartition:
-    """Quadratic mutual-reachability construction, independent of Kosaraju."""
-    reach = [reach_set(g, v) for v in range(g.n)]
-    label = [None] * g.n
-    for v in range(g.n):
-        if label[v] is not None:
-            continue
-        for u in reach[v]:
-            if v in reach[u]:
-                label[u] = v
-    return SccPartition.from_labels(label)
+    """Label each node by the smallest node it is mutually reachable with."""
+    rows = distance_rows(g)
+    nodes = range(g.n)
+    return SccPartition.from_labels(
+        [min(u for u in nodes if rows[u][v] != INF and rows[v][u] != INF) for v in nodes]
+    )
 
 
 def condensation_is_acyclic(g: Digraph, partition: SccPartition) -> bool:
@@ -77,7 +98,7 @@ def condensation_is_acyclic(g: Digraph, partition: SccPartition) -> bool:
     k = partition.num_components
     label = partition.labels
     succ: list[set[int]] = [set() for _ in range(k)]
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         cu, cv = label[u], label[v]
         if cu != cv:
             succ[cu].add(cv)

@@ -8,17 +8,21 @@ identical on every run.
 
 from __future__ import annotations
 
-from sccd.generators import (
-    gen_barabasi_albert,
-    gen_erdos_renyi,
-    gen_uniform_digraph,
-    gen_watts_strogatz,
-)
+import random
+
+from sccd.generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_strogatz
 from sccd.graphs import Digraph
 
 GNP_SIZES = (4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 48, 54, 60)
 GNP_PROBS = (0.02, 0.05, 0.1, 0.3)
 GNP_SEEDS_PER_CELL = 10
+
+
+def gen_uniform_digraph(n: int, p: float, seed: int) -> Digraph:
+    """Each ordered pair (u, v), u != v, becomes an edge with probability ``p``."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    return Digraph.from_edges(n, pairs)
 
 
 def build_corpus() -> list[tuple[str, Digraph]]:

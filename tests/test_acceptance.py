@@ -33,12 +33,11 @@ from sccd.oracles import (
     bfs_finite_diameter,
     floyd_warshall_diameter,
     partitions_equal,
-    reach_set,
     scc_kosaraju,
 )
 from sccd.partition import SccPartition
 
-from conftest import complete5, cycle_with_tail, pair_chain, tree9
+from conftest import INF, complete5, cycle_with_tail, distance_rows, pair_chain, tree9
 from corpus import build_corpus
 from reference_engine import reference_run, schedules
 from tables import GOLDEN_COMPLETE5, GOLDEN_PAIR_CHAIN, GOLDEN_TREE9, render_golden
@@ -132,6 +131,7 @@ def test_criterion_5_invariant_suite(corpus):
         result = run(g, trace=True)
         history = result.history
         reference = scc_kosaraju(g)
+        rows = distance_rows(g)
         for v in range(g.n):
             k_v = result.rounds_per_node[v]
             for r, snap in enumerate(history):
@@ -147,7 +147,8 @@ def test_criterion_5_invariant_suite(corpus):
             final = result.final.states[v]
             assert history[k_v].states[v].reach == final.reach
             assert len(history[k_v].states[v].reach) == len(history[k_v - 1].states[v].reach)
-            assert set(final.reach) == reach_set(g, v), f"{label}: reach set wrong at freeze"
+            reach = {u for u in range(g.n) if rows[u][v] != INF}
+            assert final.reach == reach, f"{label}: reach set wrong at freeze"
             assert final.peers <= frozenset(reference.components[reference.labels[v]]), (
                 f"{label}: unsound peer at node {v}"
             )

@@ -17,11 +17,11 @@ from sccd.engine import (
     render_result,
     run,
 )
-from sccd.generators import gen_uniform_digraph
 from sccd.graphs import Digraph, parse_edge_list
-from sccd.oracles import all_pairs_bfs, partitions_equal, reach_set, scc_kosaraju
+from sccd.oracles import partitions_equal, scc_kosaraju
 
-from conftest import complete5, cycle_with_tail, pair_chain, tree9
+from conftest import INF, complete5, cycle_with_tail, distance_rows, pair_chain, tree9
+from corpus import gen_uniform_digraph
 from reference_engine import init_state, node_round, reference_run, schedules
 from tables import GOLDEN_PAIR_CHAIN
 
@@ -233,28 +233,29 @@ def test_assemble_rejects_mismatched_graph():
 def test_reach_sets_exact_at_freeze():
     for seed in range(15):
         g = gen_uniform_digraph(20, 0.12, seed=seed)
+        rows = distance_rows(g)
         result = run(g)
         for v in range(g.n):
-            assert set(result.final.states[v].reach) == reach_set(g, v)
+            assert result.final.states[v].reach == {u for u in range(g.n) if rows[u][v] != INF}
 
 
 def test_round_counts_equal_in_eccentricity_plus_one():
     for seed in range(15):
         g = gen_uniform_digraph(18, 0.15, seed=100 + seed)
-        dm = all_pairs_bfs(g)
+        rows = distance_rows(g)
         result = run(g)
         for v in range(g.n):
-            assert result.rounds_per_node[v] == dm.in_eccentricity(v) + 1
+            assert result.rounds_per_node[v] == max(r[v] for r in rows if r[v] != INF) + 1
 
 
 def test_last_stabilizing_member_holds_full_component():
     for seed in range(25):
         g = gen_uniform_digraph(16, 0.2, seed=300 + seed)
-        dm = all_pairs_bfs(g)
+        rows = distance_rows(g)
         result = run(g)
         reference = scc_kosaraju(g)
         for comp in reference.components:
-            ecc = {v: dm.in_eccentricity(v) for v in comp}
+            ecc = {v: max(r[v] for r in rows if r[v] != INF) for v in comp}
             top = max(ecc.values())
             for v in comp:
                 if ecc[v] == top:

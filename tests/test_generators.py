@@ -11,10 +11,12 @@ from sccd.generators import (
     check_watts_strogatz,
     gen_barabasi_albert,
     gen_erdos_renyi,
-    gen_uniform_digraph,
     gen_watts_strogatz,
 )
 from sccd.graphs import MAX_NODES, serialize_edge_list
+
+from conftest import edge_set
+from corpus import gen_uniform_digraph
 
 
 def test_er_exact_edge_count():
@@ -27,8 +29,8 @@ def test_er_exact_edge_count():
 
 def test_er_no_self_loops_and_range():
     g = gen_erdos_renyi(30, 200, seed=3)
-    assert all(u != v for u, v in g.edges)
-    assert all(0 <= u < 30 and 0 <= v < 30 for u, v in g.edges)
+    assert all(u != v for u, v in edge_set(g))
+    assert all(0 <= u < 30 and 0 <= v < 30 for u, v in edge_set(g))
 
 
 def test_er_full_capacity_is_complete():
@@ -73,7 +75,7 @@ def test_ws_lattice_orientation_preserves_incidence():
 def test_ws_pure_ring():
     g = gen_watts_strogatz(10, 2, 0.0, seed=0)
     assert g.m == 10
-    undirected = {frozenset(e) for e in g.edges}
+    undirected = {frozenset(e) for e in edge_set(g)}
     assert undirected == {frozenset({i, (i + 1) % 10}) for i in range(10)}
 
 
@@ -81,7 +83,7 @@ def test_ws_rewired_keeps_edge_count():
     for p in (0.2, 0.8, 1.0):
         g = gen_watts_strogatz(24, 4, p, seed=7)
         assert g.m == 24 * 4 // 2
-        assert all(u != v for u, v in g.edges)
+        assert all(u != v for u, v in edge_set(g))
 
 
 def test_ws_rejects_bad_parameters():
@@ -113,8 +115,8 @@ def test_generator_checks_refuse_node_counts_above_the_limit(check, args):
     ],
 )
 def test_generators_deterministic_and_seed_sensitive(make):
-    assert make(123).edges == make(123).edges
-    differing = sum(1 for s in range(10) if make(s).edges != make(s + 1000).edges)
+    assert edge_set(make(123)) == edge_set(make(123))
+    differing = sum(1 for s in range(10) if edge_set(make(s)) != edge_set(make(s + 1000)))
     assert differing == 10
 
 

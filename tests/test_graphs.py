@@ -9,7 +9,6 @@ from sccd.generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_stro
 from sccd.graphs import (
     Digraph,
     EdgeListError,
-    in_neighbors,
     max_in_degree,
     parse_edge_list,
     serialize_edge_list,
@@ -17,14 +16,14 @@ from sccd.graphs import (
 from sccd.oracles import scc_kosaraju
 from sccd.stats import graph_stats
 
-from conftest import PAIR_CHAIN_TEXT, complete5, pair_chain, tree9
+from conftest import PAIR_CHAIN_TEXT, complete5, edge_set, pair_chain, tree9
 
 
 def test_parse_worked_example_base1():
     g = parse_edge_list(PAIR_CHAIN_TEXT, base=1)
     assert g.n == 6
     assert g.m == 8
-    assert g.edges == pair_chain().edges
+    assert edge_set(g) == edge_set(pair_chain())
 
 
 def test_parse_empty_text():
@@ -41,7 +40,7 @@ def test_parse_duplicates_collapse():
 
 def test_parse_comments_and_blank_lines():
     g = parse_edge_list("# a comment\n\n0 1  # inline\n1 0\n")
-    assert g.edges == frozenset({(0, 1), (1, 0)})
+    assert edge_set(g) == {(0, 1), (1, 0)}
 
 
 def test_parse_nodes_directive_keeps_isolated_nodes():
@@ -95,15 +94,15 @@ def test_parse_negative_id_rejected():
 
 def test_parse_accepts_self_loop():
     g = parse_edge_list("0 0\n")
-    assert g.edges == frozenset({(0, 0)})
-    assert in_neighbors(g, 0) == {0}
+    assert edge_set(g) == {(0, 0)}
+    assert g.in_adj[0] == (0,)
 
 
 def test_serialize_round_trip_is_identity_on_edges():
     g = pair_chain()
     text = serialize_edge_list(g)
     back = parse_edge_list(text)
-    assert back.edges == g.edges
+    assert edge_set(back) == edge_set(g)
     assert back.n == g.n
 
 
@@ -135,7 +134,7 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
         for base in (0, 1):
             assert parse_edge_list(serialize_edge_list(g, base=base), base=base) == g
             text = serialize_edge_list(g, base=base, header=False)
-            assert parse_edge_list(text, base=base).edges == g.edges
+            assert edge_set(parse_edge_list(text, base=base)) == edge_set(g)
     for base in (0, 1):
         assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
         assert parse_edge_list("# nodes: 7", base=base) == Digraph.from_edges(7, [])
@@ -144,18 +143,16 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
 def test_adjacency_consistent_with_edges():
     g = pair_chain()
     rebuilt = {(u, v) for v in range(g.n) for u in g.in_adj[v]}
-    assert rebuilt == set(g.edges)
-    rebuilt_out = {(u, v) for u in range(g.n) for v in g.out_adj[u]}
-    assert rebuilt_out == set(g.edges)
-    assert g.m == len(g.edges)
+    assert rebuilt == edge_set(g)
+    assert g.m == len(rebuilt)
 
 
 def test_from_edges_drops_repeats_and_keeps_self_loops():
     g = Digraph.from_edges(4, [(2, 0), (1, 1), (0, 1), (2, 0), (1, 1), (2, 1), (0, 1), (3, 3)])
     assert g.out_adj == ((1,), (1,), (0, 1), (3,))
     assert g.in_adj == ((2,), (0, 1, 2), (), (3,))
-    assert g.m == len(g.edges) == 5
-    assert g.edges == frozenset({(0, 1), (1, 1), (2, 0), (2, 1), (3, 3)})
+    assert g.m == len(edge_set(g)) == 5
+    assert edge_set(g) == {(0, 1), (1, 1), (2, 0), (2, 1), (3, 3)}
 
 
 def test_digraph_keeps_only_its_adjacency():
@@ -167,20 +164,15 @@ def test_digraph_keeps_only_its_adjacency():
 def test_in_neighbors_worked_example():
     g = pair_chain()
     # node 3 in 1-based display; fed by 2 and 4
-    assert in_neighbors(g, 2) == {1, 3}
+    assert g.in_adj[2] == (1, 3)
 
 
 def test_in_neighbors_isolated_and_complete():
     g = Digraph.from_edges(3, [])
-    assert in_neighbors(g, 1) == set()
+    assert g.in_adj[1] == ()
     k5 = complete5()
     for v in range(5):
-        assert in_neighbors(k5, v) == set(range(5)) - {v}
-
-
-def test_in_neighbors_out_of_range():
-    with pytest.raises(ValueError):
-        in_neighbors(pair_chain(), 6)
+        assert k5.in_adj[v] == tuple(u for u in range(5) if u != v)
 
 
 def test_max_in_degree():

@@ -3,27 +3,26 @@ from __future__ import annotations
 import pytest
 
 from sccd import oracles
-from sccd.generators import gen_uniform_digraph
 from sccd.graphs import Digraph
 from sccd.oracles import (
-    INF,
-    all_pairs_bfs,
     bfs_finite_diameter,
     floyd_warshall_diameter,
     partitions_equal,
-    reach_set,
     scc_kosaraju,
 )
 from sccd.partition import SccPartition
 
 from conftest import (
+    INF,
     brute_force_sccs,
     complete5,
     condensation_is_acyclic,
     cycle_with_tail,
+    distance_rows,
     pair_chain,
     tree9,
 )
+from corpus import gen_uniform_digraph
 
 
 def test_kosaraju_worked_graphs():
@@ -63,22 +62,20 @@ def test_condensation_is_acyclic_on_randoms():
 
 
 def test_reach_set_worked_examples():
-    g = pair_chain()
-    assert reach_set(g, 4) == {0, 1, 2, 3, 4, 5}  # everything reaches node 5 (1-based)
-    assert reach_set(tree9(), 0) == {0}
-    assert reach_set(Digraph.from_edges(3, []), 1) == {1}
-    with pytest.raises(ValueError):
-        reach_set(g, 6)
+    # The reach set of v, the nodes with a path into v, is column v of the rows.
+    for g, v, reach in ((pair_chain(), 4, {0, 1, 2, 3, 4, 5}), (tree9(), 0, {0}),
+                        (Digraph.from_edges(3, []), 1, {1})):
+        assert {u for u, row in enumerate(distance_rows(g)) if row[v] != INF} == reach
 
 
 def test_all_pairs_bfs_worked_examples():
-    dm = all_pairs_bfs(pair_chain())
-    assert dm.distance(0, 5) == 5
-    assert all(dm.distance(v, v) == 0 for v in range(6))
-    assert dm.finite_diameter() == 5
-    tree_dm = all_pairs_bfs(tree9())
-    assert tree_dm.distance(0, 7) == 3
-    assert tree_dm.distance(7, 0) == INF
+    rows = distance_rows(pair_chain())
+    assert rows[0][5] == 5
+    assert all(rows[v][v] == 0 for v in range(6))
+    assert max(d for row in rows for d in row if d != INF) == 5
+    tree_rows = distance_rows(tree9())
+    assert tree_rows[0][7] == 3
+    assert tree_rows[7][0] == INF
 
 
 # Dense inputs up to the complete digraph; at 70 and 130 nodes the masks
@@ -90,12 +87,12 @@ DENSE_CASES = ((12, (0, 250, 500, 750, 1000)), (70, (30, 200, 600, 1000)),
 def test_bfs_finite_diameter_matches_matrix():
     for seed in range(20):
         g = gen_uniform_digraph(20, 0.1, seed=seed)
-        assert bfs_finite_diameter(g) == all_pairs_bfs(g).finite_diameter()
+        assert bfs_finite_diameter(g) == max(d for row in distance_rows(g) for d in row if d != INF)
     for n, p_millis in DENSE_CASES:
         for p_milli in p_millis:
             for i in range(3):
                 g = gen_uniform_digraph(n, p_milli / 1000, seed=n * 1009 + p_milli + i)
-                expected = all_pairs_bfs(g).finite_diameter()
+                expected = max(d for row in distance_rows(g) for d in row if d != INF)
                 assert bfs_finite_diameter(g) == expected, (n, p_milli, i)
 
 
@@ -171,9 +168,9 @@ def test_partitions_equal_rejects_universe_mismatch():
 def test_component_containing_every_node(make):
     g = make()
     partition = scc_kosaraju(g)
-    reach = [reach_set(g, v) for v in range(g.n)]
+    rows = distance_rows(g)
     for v in range(g.n):
-        mutual = {u for u in range(g.n) if u in reach[v] and v in reach[u]}
+        mutual = {u for u in range(g.n) if rows[u][v] != INF and rows[v][u] != INF}
         comp = frozenset(partition.components[partition.labels[v]])
         assert comp == mutual
         assert tuple(sorted(comp)) in partition.components

@@ -1,36 +1,45 @@
-"""Pinned digest of the ``sccd scc`` text over the corpus and the worked graphs.
+"""Pinned sha256 digests of the ``sccd scc`` text and the trace table, both modes.
 
-The digest is one sha256 over ``render_result`` for every corpus graph
-and every worked graph, in both modes.  It was taken before the
-partition's representation changed, so any change to the component
-lines, the round counts or the diameter line shows here.  A deliberate
-change of that text updates the value, with a line in ``CHANGES.md``.
+``render_result`` covers the corpus, ``trace_table`` its graphs of at most 30
+nodes; both add the worked graphs.  A deliberate change of either text updates
+its value, with a line in ``CHANGES.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from sccd.engine import Mode, assemble_partition, render_result, run
+from sccd.engine import Mode, assemble_partition, render_result, run, trace_table
 
 from conftest import complete5, cycle_with_tail, pair_chain, tree9
 from corpus import build_corpus
 
 SCC_TEXT_SHA256 = "fa1e594e7368e95fe86a2aa03d2d17a7b652c07d50d67011c101729a483445a4"
+TRACE_TEXT_SHA256 = "486be2b7b921982a93b8ef2440003a88b1eb6070eb03cb47d0f41dde46ca1718"
 
 
-def scc_text_digest() -> str:
-    graphs = build_corpus() + [
-        (make.__name__, make()) for make in (pair_chain, complete5, tree9, cycle_with_tail)
-    ]
+def text_digest(graphs, render) -> str:
+    worked = [(make.__name__, make()) for make in (pair_chain, complete5, tree9, cycle_with_tail)]
     h = hashlib.sha256()
-    for label, g in graphs:
+    for label, g in graphs + worked:
         for mode in Mode:
-            result = run(g, mode=mode)
-            text = render_result(result, assemble_partition(g, result))
-            h.update(f"{label} {mode.value}\n{text}".encode())
+            h.update(f"{label} {mode.value}\n{render(g, mode)}".encode())
     return h.hexdigest()
 
 
+def scc_text(g, mode):
+    result = run(g, mode=mode)
+    return render_result(result, assemble_partition(g, result))
+
+
+def trace_text(g, mode):
+    return trace_table(run(g, mode=mode, trace=True))
+
+
 def test_scc_text_matches_pinned_digest():
-    assert scc_text_digest() == SCC_TEXT_SHA256
+    assert text_digest(build_corpus(), scc_text) == SCC_TEXT_SHA256
+
+
+def test_trace_text_matches_pinned_digest():
+    small = [(label, g) for label, g in build_corpus() if g.n <= 30]
+    assert text_digest(small, trace_text) == TRACE_TEXT_SHA256

@@ -33,14 +33,13 @@ from sccd.graphs import (
 )
 from sccd.partition import SccPartition
 from sccd.oracles import (
-    all_pairs_bfs,
     bfs_finite_diameter,
     floyd_warshall_diameter,
     partitions_equal,
     scc_kosaraju,
 )
 
-from conftest import brute_force_sccs
+from conftest import INF, brute_force_sccs, distance_rows, edge_set
 from reference_engine import reference_run
 
 MAX_N = 40
@@ -187,7 +186,7 @@ def test_parse_equals_from_edges(doc, data):
     assert g == expected
     # Independent of Digraph._build, which parse_edge_list and from_edges share.
     assert (g.in_adj, g.out_adj) == adjacency_by_hand(expected.n, pairs)
-    assert g.m == len(g.edges) == len(set(pairs))
+    assert g.m == len(edge_set(g)) == len(set(pairs))
 
 
 BAD_LINES = ("three tokens", "non-integer", "below base", "beyond declared", "past the limit")
@@ -242,7 +241,7 @@ def edited_serializations(draw) -> tuple[str, int]:
         return text.replace("\n", "\r\n"), base
     body = text.partition("\n")[2] if header else text
     if edit == "count at or below an id":
-        top = max((max(e) for e in g.edges), default=0)
+        top = max((max(e) for e in edge_set(g)), default=0)
         return f"# nodes: {top - draw(st.integers(0, top))}\n{body}", base
     if edit == "count above the limit":
         return f"# nodes: {MAX_NODES + 1}\n{body}", base
@@ -318,15 +317,15 @@ def test_partition_equals_kosaraju_and_brute_force(g):
 @CHECKED
 @given(graphs)
 def test_rounds_equal_in_eccentricity_plus_one(g):
-    dm = all_pairs_bfs(g)
-    expected = tuple(dm.in_eccentricity(v) + 1 for v in range(g.n))
+    rows = distance_rows(g)
+    expected = tuple(max(row[v] for row in rows if row[v] != INF) + 1 for v in range(g.n))
     assert run(g, mode=Mode.PER_NODE_FREEZE).rounds_per_node == expected
     # Every node runs until the last one stabilizes.
     assert run(g, mode=Mode.GLOBAL_ROUNDS).rounds_per_node == (max(expected),) * g.n
 
 
 def assert_diameter_oracles_agree(g: Digraph) -> None:
-    expected = all_pairs_bfs(g).finite_diameter()
+    expected = max(d for row in distance_rows(g) for d in row if d != INF)
     assert bfs_finite_diameter(g) == expected == floyd_warshall_diameter(g)
 
 
@@ -346,7 +345,7 @@ def test_diameter_oracles_agree_on_dense_graphs(g):
 @given(chorded_cycles())
 def test_bfs_diameter_equals_all_pairs_on_strongly_connected_graphs(g):
     assert scc_kosaraju(g).num_components == 1
-    assert bfs_finite_diameter(g) == all_pairs_bfs(g).finite_diameter()
+    assert bfs_finite_diameter(g) == max(d for row in distance_rows(g) for d in row if d != INF)
 
 
 @st.composite
