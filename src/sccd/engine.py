@@ -29,12 +29,12 @@ built from them only when ``final`` is read or a trace is recorded.
 
 An update in :func:`run` does only the merge, one popcount, and sorts
 the node as grown or settled (size unchanged).  A settled node's reach
-set is complete, so its peers and round count are recorded then; in
-global-rounds mode every node settles again in the last round, and an
-untraced run records them only in that round.  The peers and round
-counts of nodes that grew, and the stable flags, are kept only for the
-trace.  The element-operation count is summed once per round over the
-previous-round sizes, before the updates run.
+set is complete, so in both modes only the grown nodes run in the next
+round; a global-rounds result still reports every node as running every
+round.  The peers and round counts of nodes that grew, and the stable
+flags, are kept only for the trace.  The element-operation count is
+summed once per round over the previous-round sizes, before the updates
+run.
 """
 
 from __future__ import annotations
@@ -139,17 +139,17 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     (round 0 is the initial state).
 
     Each round splits the live nodes into those whose reach set grew and
-    those that settled.  Settled nodes get their peers and round count
-    after the updates and before the grown ones are written back, so the
-    peer test still reads the previous round's sizes.  In global-rounds
-    mode every node settles in the last round, so an untraced run writes
-    them only then; a traced run writes them every round.  Only a traced
-    run records the peers and round counts of grown nodes and keeps a
-    ``stable`` list.  ``element_ops`` adds, per round, the
-    previous-round sizes each update reads: its own and
-    its in-neighbours', summed over the live nodes in per-node-freeze
-    mode, and each node's size times one plus its out-degree in
-    global-rounds mode, where every node is live.  Raises
+    those that settled; only the grown ones run in the next round.  Peers
+    and round counts read the previous round's sizes.  Untraced, they are
+    written as each node settles, before the write-back, in
+    per-node-freeze mode, and for every node after the last round, which
+    grew nothing, in global-rounds mode.  Traced, they are written each
+    round for the nodes that executed (the live ones, or all of them in
+    global-rounds mode), with a ``stable`` list.  ``element_ops`` adds,
+    per round, the previous-round sizes each update reads: its own and
+    its in-neighbours', over the live nodes in per-node-freeze mode, and
+    each node's size times one plus its out-degree in global-rounds mode,
+    which is that variant's modeled work, not the merges run.  Raises
     :class:`GraphTooLargeError`, before allocating any mask, when the
     components could need more than :data:`MAX_MASK_BITS` bits.
     """
@@ -181,8 +181,8 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     reach = own[:]
     size = [1] * n  # max_size, which always equals the size of the reach set
     get_size = size.__getitem__
-    # A global round updates every node, so node j's size is read once for
-    # itself and once per out-neighbour.
+    # A global round counts every node as updating, so node j's size is
+    # read once for itself and once per out-neighbour.
     weight = None if per_node else [1 + len(heads) for heads in g.out_adj]
     peers = [0] * n
     rounds = [0] * n
@@ -223,35 +223,35 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
                 settled.append(v)
             else:
                 grown.append((v, r, s))
-        # Untraced, a global run's values before its last round are all
-        # overwritten then, so only that round writes them.
-        if per_node or not grown or history is not None:
-            for v in settled:
-                peers[v] = reach[v] & by_size[base[v] + size[v]]
-                rounds[v] = round_no
         if history is not None:
-            # Only the trace shows the nodes that grew; their peers read
-            # by_size before the write-back below.
+            # Every node that executed is traced; peers read by_size before the write-back.
             for v in settled:
                 stable[v] = True
             after = reach[:]
             for v, r, s in grown:
-                peers[v] = r & by_size[base[v] + s]
-                rounds[v] = round_no
                 after[v] = r
+            for v in live if per_node else range(n):
+                peers[v] = after[v] & by_size[base[v] + after[v].bit_count()]
+                rounds[v] = round_no
             # In global-rounds mode the frozen flag latches only on the last round.
             latched = per_node or not grown
             history.append(_snapshot(comps, after, peers, stable, rounds, latched, views))
+        elif per_node:
+            for v in settled:
+                peers[v] = reach[v] & by_size[base[v] + size[v]]
+                rounds[v] = round_no
         for v, r, s in grown:
             b = base[v]
             by_size[b + size[v]] ^= own[v]
             by_size[b + s] |= own[v]
             reach[v] = r
             size[v] = s
-        if per_node:
-            live = [v for v, _, _ in grown]
-        elif not grown:
-            live = []
+        live = [v for v, _, _ in grown]
+    if history is None and not per_node:
+        # Every node counts as executing every round; its last round read
+        # the final sizes, because nothing grew in it.
+        peers = [r & by_size[b + s] for r, b, s in zip(reach, base, size)]
+        rounds = [round_no] * n
     return RunResult(
         mode=mode,
         rounds_per_node=tuple(rounds),

@@ -108,6 +108,28 @@ def test_run_global_rounds_counts():
     assert run(tree9(), mode=Mode.GLOBAL_ROUNDS).rounds_per_node == (4,) * 9
 
 
+class CountingRows(tuple):
+    """An adjacency tuple that counts its row reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_global_rounds_merges_only_grown_nodes():
+    # On the path 0 -> 1 -> ... -> 59 node v grows in rounds 1..v, so a
+    # settled node's in-row need not be read again: re-merging every node
+    # in all 60 rounds would read 3,600 rows.
+    n = 60
+    path = Digraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    in_adj = CountingRows(path.in_adj)
+    result = run(Digraph(n=n, in_adj=in_adj, out_adj=path.out_adj), mode=Mode.GLOBAL_ROUNDS)
+    assert result.rounds_per_node == (n,) * n
+    assert in_adj.reads < n * n
+
+
 def test_run_single_node_and_edgeless():
     r = run(Digraph.from_edges(1, []))
     assert r.rounds_per_node == (1,)
