@@ -27,14 +27,12 @@ result.  :func:`run` computes the updates on int bitsets, and its
 :class:`RunResult` keeps those masks; :class:`NodeState` views are
 built from them only when ``final`` is read or a trace is recorded.
 
-An update in :func:`run` does only the merge, one popcount, and sorts
-the node as grown or settled (size unchanged).  A settled node's reach
-set is complete, so in both modes only the grown nodes run in the next
-round; a global-rounds result still reports every node as running every
-round.  The peers and round counts of nodes that grew, and the stable
-flags, are kept only for the trace.  The element-operation count is
-summed once per round over the previous-round sizes, before the updates
-run.
+An update in :func:`run` is its merge and one popcount.  A node whose
+size repeated has a complete reach set: it records its peers and round
+count in that update and, in both modes, runs no more; a global-rounds
+result still reports every node as running every round.  The
+element-operation count is summed once per round over the
+previous-round sizes, before the updates run.
 """
 
 from __future__ import annotations
@@ -100,7 +98,6 @@ class RunResult:
     Bit ``i`` of a node's masks is the ``i``-th node of its weakly connected component.
     """
 
-    mode: Mode
     rounds_per_node: tuple[int, ...]
     element_ops: int
     components: tuple[tuple[NodeId, ...], ...]
@@ -138,14 +135,13 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     masks; ``trace`` adds one :class:`NodeState` snapshot per round
     (round 0 is the initial state).
 
-    Each round splits the live nodes into those whose reach set grew and
-    those that settled; only the grown ones run in the next round.  Peers
-    and round counts read the previous round's sizes.  Untraced, they are
-    written as each node settles, before the write-back, in
-    per-node-freeze mode, and for every node after the last round, which
-    grew nothing, in global-rounds mode.  Traced, they are written each
-    round for the nodes that executed (the live ones, or all of them in
-    global-rounds mode), with a ``stable`` list.  ``element_ops`` adds,
+    Only the nodes whose reach set grew run in the next round.  A node
+    whose size repeats settles, and its update writes its peers, read
+    against the previous round's sizes, and its round count.  In
+    global-rounds mode every node's peers are read again after the last
+    round, which grew nothing, and every node gets that round's count.
+    A trace also records, each round, the grown nodes (every node in
+    global-rounds mode) before the write-back.  ``element_ops`` adds,
     per round, the previous-round sizes each update reads: its own and
     its in-neighbours', over the live nodes in per-node-freeze mode, and
     each node's size times one plus its out-degree in global-rounds mode,
@@ -188,8 +184,7 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     rounds = [0] * n
     views: dict[tuple[int, int], frozenset[int]] = {}
     if trace:
-        stable = [False] * n
-        history = [_snapshot(comps, reach, peers, stable, rounds, False, views)]
+        history = [_snapshot(comps, reach, peers, [False] * n, rounds, False, views)]
     else:
         history = None
     element_ops = 0
@@ -209,51 +204,50 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
             )
         else:
             element_ops += sum(map(mul, size, weight))
-        # A node whose size repeats has an unchanged reach set, so only the
-        # grown ones are written back, after every node has read the
-        # previous round.
+        # A node whose size repeats settles and records its peers against
+        # the previous round's sizes; only the grown ones are written back,
+        # after every node has read the previous round.
         grown = []
-        settled = []
         for v in live:
             r = reach[v]
             for j in in_adj[v]:
                 r |= reach[j]
             s = r.bit_count()
             if s == size[v]:
-                settled.append(v)
+                peers[v] = r & by_size[base[v] + s]
+                rounds[v] = round_no
             else:
                 grown.append((v, r, s))
         if history is not None:
-            # Every node that executed is traced; peers read by_size before the write-back.
-            for v in settled:
-                stable[v] = True
-            after = reach[:]
+            # The grown nodes, or every node in global-rounds mode, are
+            # recorded against by_size before the write-back.
+            if not per_node:
+                for v in range(n):
+                    peers[v] = reach[v] & by_size[base[v] + size[v]]
+                    rounds[v] = round_no
+            stable = [True] * n
             for v, r, s in grown:
-                after[v] = r
-            for v in live if per_node else range(n):
-                peers[v] = after[v] & by_size[base[v] + after[v].bit_count()]
+                peers[v] = r & by_size[base[v] + s]
                 rounds[v] = round_no
-            # In global-rounds mode the frozen flag latches only on the last round.
-            latched = per_node or not grown
-            history.append(_snapshot(comps, after, peers, stable, rounds, latched, views))
-        elif per_node:
-            for v in settled:
-                peers[v] = reach[v] & by_size[base[v] + size[v]]
-                rounds[v] = round_no
+                stable[v] = False
         for v, r, s in grown:
             b = base[v]
             by_size[b + size[v]] ^= own[v]
             by_size[b + s] |= own[v]
             reach[v] = r
             size[v] = s
+        if history is not None:
+            # In global-rounds mode the frozen flag latches only on the last round.
+            history.append(
+                _snapshot(comps, reach, peers, stable, rounds, per_node or not grown, views)
+            )
         live = [v for v, _, _ in grown]
-    if history is None and not per_node:
+    if not per_node:
         # Every node counts as executing every round; its last round read
         # the final sizes, because nothing grew in it.
         peers = [r & by_size[b + s] for r, b, s in zip(reach, base, size)]
         rounds = [round_no] * n
     return RunResult(
-        mode=mode,
         rounds_per_node=tuple(rounds),
         element_ops=element_ops,
         components=comps,

@@ -21,15 +21,6 @@ def _orient(edges: list[tuple[int, int]], rng: random.Random) -> list[tuple[int,
     return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
 
 
-def _digraph(n: int, pairs: list[tuple[int, int]]) -> Digraph:
-    # The pairs are ints in range by construction, so they skip
-    # Digraph.from_edges' conversion and range pass; only its count check
-    # is left, raised where from_edges raised it.
-    if n < 0:
-        raise ValueError(f"node count must be >= 0, got {n}")
-    return Digraph._build(n, pairs)
-
-
 def _check_nodes(n: int) -> None:
     # Refused before anything is allocated for the graph, as the parser does.
     if n > MAX_NODES:
@@ -76,7 +67,7 @@ def gen_erdos_renyi(n: int, m: int, seed: int) -> Digraph:
         u, r = divmod(idx, n - 1)
         v = r if r < u else r + 1
         edges.append((u, v))
-    return _digraph(n, edges)
+    return Digraph._build(n, edges)
 
 
 def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
@@ -105,7 +96,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
         for t in sorted(targets):
             edges.append((new, t))
             repeated.extend((new, t))
-    return _digraph(n, _orient(edges, rng))
+    return Digraph._build(n, _orient(edges, rng))
 
 
 def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
@@ -142,5 +133,5 @@ def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
                 adj[w].add(u)
                 edges[pos] = (u, w)
             pos += 1
-    return _digraph(n, _orient(edges, rng))
+    return Digraph._build(n, _orient(edges, rng))
 

@@ -48,8 +48,6 @@ class Digraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
-        if n < 0:
-            raise ValueError(f"node count must be >= 0, got {n}")
         pairs = [(int(u), int(v)) for u, v in edges]
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
@@ -58,10 +56,12 @@ class Digraph:
 
     @classmethod
     def _build(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
-        # The one adjacency builder.  Every pair must be an int pair in
-        # range: from_edges and the parsers check them first, and the
-        # generators build them in range.  Any other caller goes through
-        # from_edges.
+        # The one adjacency builder, and the one check of the node count.
+        # Every pair must be an int pair in range: from_edges and the
+        # parsers check them first, and the generators build them in range
+        # for any n >= 0.  Any other caller goes through from_edges.
+        if n < 0:
+            raise ValueError(f"node count must be >= 0, got {n}")
         # A list of fewer than two heads is already sorted and repeat-free;
         # skipping the set there keeps large sparse graphs cheap.  Walking
         # out_adj in tail order appends each in-list already sorted.

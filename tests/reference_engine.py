@@ -118,7 +118,6 @@ def reference_run(
         states = tuple(new_states)
         history.append(RoundSnapshot(states))
     return RunResult(
-        mode=mode,
         rounds_per_node=tuple(s.rounds for s in states),
         element_ops=element_ops,
         components=(tuple(range(n)),),

@@ -200,7 +200,6 @@ def test_assemble_rejects_non_nested_peer_sets():
     g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     # Final peer sets {0, 1}, {1, 2} and {} as masks over the one component.
     fake = RunResult(
-        mode=Mode.PER_NODE_FREEZE,
         rounds_per_node=(2, 2, 2),
         element_ops=0,
         components=((0, 1, 2),),
@@ -217,7 +216,6 @@ def test_assemble_rejects_overlapping_chosen_sets():
     g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     # Final peer sets {1, 2}, {0, 1} and {} as masks over the one component.
     fake = RunResult(
-        mode=Mode.PER_NODE_FREEZE,
         rounds_per_node=(2, 2, 2),
         element_ops=0,
         components=((0, 1, 2),),

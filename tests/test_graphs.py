@@ -92,6 +92,14 @@ def test_parse_negative_id_rejected():
         parse_edge_list("0 1\n", base=1)
 
 
+def test_from_edges_rejects_negative_node_count():
+    with pytest.raises(ValueError, match="node count must be >= 0, got -1"):
+        Digraph.from_edges(-1, [])
+    # Any edge is out of range for a negative count, and that is checked first.
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range for n=-1"):
+        Digraph.from_edges(-1, [(0, 1)])
+
+
 def test_parse_accepts_self_loop():
     g = parse_edge_list("0 0\n")
     assert edge_set(g) == {(0, 0)}

@@ -1,19 +1,25 @@
-"""Pinned sha256 digests of the ``sccd scc`` text, the trace table and the bench CSV, both modes.
+"""Pinned sha256 digests of the ``sccd scc`` text, the trace table, the bench CSV and the CLI.
 
 ``render_result`` covers the corpus, ``trace_table`` its graphs of at most 30
-nodes; both add the worked graphs.  The CSV digest covers the non-timing
-columns of the diameter suite and of one small run per family and parameter
-set.  A deliberate change of any of these outputs updates its value, with a
-line in ``CHANGES.md``.
+nodes; both add the worked graphs and both modes.  The CSV digest covers the
+non-timing columns of the diameter suite and of one small run per family and
+parameter set.  The CLI digest covers argv, stdout, stderr and exit code of
+in-process ``sccd.cli.main`` calls on edge-list files, malformed and hostile
+ones included, and on ``gen`` parameter errors.  A deliberate change of any of
+these outputs updates its value, with a line in ``CHANGES.md``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 from sccd.bench import FAMILIES, ExperimentConfig, diameter_benchmark, emit_csv, run_experiment
+from sccd.cli import main
 from sccd.engine import Mode, assemble_partition, render_result, run, trace_table
+from sccd.graphs import serialize_edge_list
 
 from conftest import complete5, cycle_with_tail, pair_chain, tree9
 from corpus import build_corpus
@@ -21,6 +27,29 @@ from corpus import build_corpus
 SCC_TEXT_SHA256 = "fa1e594e7368e95fe86a2aa03d2d17a7b652c07d50d67011c101729a483445a4"
 TRACE_TEXT_SHA256 = "486be2b7b921982a93b8ef2440003a88b1eb6070eb03cb47d0f41dde46ca1718"
 CSV_SHA256 = "225de643bc252cb3aa577c2f015cd2a900c197357a0a236cdc84477aa930e23d"
+CLI_SHA256 = "8f780f352672347eea507c392a8947299d95e61e4ea66db009b1fdbb5a5fddd6"
+
+# Malformed and hostile files, and edge cases of the format, by name.
+HOSTILE_FILES = {
+    "empty.txt": "",
+    "comments.txt": "# only a comment\n\n",
+    "three_ids.txt": "0 1\n1 2 3\n",
+    "word.txt": "0 1\nbogus line\n",
+    "negative.txt": "0 -1\n",
+    "huge_id.txt": "0 99999999999\n",
+    "huge_nodes.txt": "# nodes: 99999999999\n0 1\n",
+    "small_nodes.txt": "0 5\n# nodes: 3\n",
+    "two_directives.txt": "# nodes: 4\n# nodes: 4\n0 1\n",
+    "unicode_digit.txt": "0 \u0661\n",
+    "too_wide_to_check.txt": "# nodes: 4097\n0 1\n",
+}
+
+GEN_ERRORS = (
+    ["gen", "er", "--n", "-2", "--m", "3", "--seed", "1"],
+    ["gen", "ws", "--n", "-1", "--k", "-2", "--p", "0.5", "--seed", "1"],
+    ["gen", "ba", "--n", "16777217", "--m", "3", "--seed", "1"],
+    ["gen", "ws", "--n", "10", "--k", "4", "--p", "1.5", "--seed", "1"],
+)
 
 
 def text_digest(graphs, render) -> str:
@@ -68,3 +97,40 @@ def test_csv_columns_match_pinned_digest(tmp_path):
             for row in rows:
                 h.update((",".join(row[i] for i in keep) + "\n").encode())
     assert h.hexdigest() == CSV_SHA256
+
+
+def crlf_base1(g) -> str:
+    """``g`` with 1-based ids, CRLF line ends and ``#`` comments, read by the line loop."""
+    lines = ["# worked or corpus graph, ids from 1"]
+    for line in serialize_edge_list(g, base=1).splitlines():
+        lines.append(line if line.startswith("#") else f"{line}  # edge")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_cli_output_matches_pinned_digest(tmp_path):
+    worked = [make() for make in (pair_chain, complete5, tree9, cycle_with_tail)]
+    small = [g for _, g in build_corpus() if g.n <= 30][::10]
+    files = []
+    for i, g in enumerate(worked + small):
+        for base, text in ((0, serialize_edge_list(g)), (1, crlf_base1(g))):
+            path = tmp_path / f"g{i}_base{base}.txt"
+            path.write_bytes(text.encode())
+            files.append((str(path), base))
+    for name, text in HOSTILE_FILES.items():
+        (tmp_path / name).write_bytes(text.encode())
+        files.append((str(tmp_path / name), 0))
+    files.append((str(tmp_path / "absent.txt"), 0))
+    calls = [
+        [*command, path, "--base", str(base), *mode]
+        for path, base in files
+        for command in (["scc"], ["diameter"], ["diameter", "--check"], ["trace"])
+        for mode in ([], ["--global-rounds"])
+    ]
+    h = hashlib.sha256()
+    for argv in calls + list(GEN_ERRORS):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        record = f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+        h.update(record.replace(str(tmp_path), "<tmp>").encode())
+    assert h.hexdigest() == CLI_SHA256
