@@ -29,7 +29,6 @@ from .graphs import (
 from .oracles import (
     bfs_finite_diameter,
     floyd_warshall_diameter,
-    partitions_equal,
     scc_kosaraju,
 )
 from .partition import SccPartition
@@ -55,7 +54,6 @@ __all__ = [
     "graph_stats",
     "max_in_degree",
     "parse_edge_list",
-    "partitions_equal",
     "render_result",
     "run",
     "scc_kosaraju",

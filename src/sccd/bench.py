@@ -28,7 +28,7 @@ from .generators import (
     gen_watts_strogatz,
 )
 from .graphs import Digraph, serialize_edge_list
-from .oracles import floyd_warshall_diameter, partitions_equal, scc_kosaraju
+from .oracles import floyd_warshall_diameter, scc_kosaraju
 from .stats import graph_stats
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -210,14 +210,14 @@ def _check_and_record(
     g, params = _generate(family, parameter_set, n, seed)
     stats = graph_stats(g)
     result, t_consensus = _median_time(lambda: run(g, mode=mode))
-    partition = assemble_partition(g, result)
+    partition = assemble_partition(result)
     reference, t_kosaraju = _median_time(lambda: scc_kosaraju(g))
     rounds_max = max(result.rounds_per_node)
     t_fw = None
     if with_floyd_warshall:
         fw_diameter, t_fw = _median_time(lambda: floyd_warshall_diameter(g))
     if (
-        not partitions_equal(partition, reference)
+        partition != reference
         or rounds_max != stats.finite_diameter + 1
         or (with_floyd_warshall and fw_diameter != rounds_max - 1)
     ):

@@ -67,7 +67,7 @@ def cmd_scc(args: argparse.Namespace) -> int:
         return EXIT_OK
     with _engine_faults():
         result = run(g, mode=args.mode)
-        partition = assemble_partition(g, result)
+        partition = assemble_partition(result)
         text = render_result(result, partition, base=args.base)
     sys.stdout.write(text)
     return EXIT_OK

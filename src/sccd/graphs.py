@@ -15,7 +15,8 @@ from typing import Iterable
 
 NodeId = int
 
-_NODES_DIRECTIVE = re.compile(r"^#\s*nodes\s*:\s*(\d+)\s*$")
+_NODES_DIRECTIVE = re.compile(r"#[ \t]*nodes[ \t]*:[ \t]*([0-9]+)[ \t]*", re.ASCII)
+_ID = re.compile(r"[+-]?[0-9]+", re.ASCII)
 
 # Larger node counts, declared or implied by an id, are refused before
 # anything is allocated for them: a graph and an untraced run on it take
@@ -91,17 +92,17 @@ def max_in_degree(g: Digraph) -> int:
 def parse_edge_list(text: str, base: int = 0) -> Digraph:
     """Parse whitespace-separated "u v" lines into a :class:`Digraph`.
 
-    Lines may carry ``#`` comments; blank lines are skipped; duplicate
-    edges collapse.  ``base`` declares whether ids in the text start at
-    0 or 1 (they are rebased to 0).  An optional directive line
-    ``# nodes: N`` pins the node count, which is the only way to keep
-    isolated trailing nodes; without it ``n`` is one more than the
-    largest id seen.  A directive must exceed every id on the lines
-    before it.  A node count above :data:`MAX_NODES`, declared or
-    implied by an id, is rejected before anything is allocated for it.
+    Ids and the optional directive line ``# nodes: N`` are ASCII; ids may
+    carry a sign.  Lines may carry ``#`` comments; blank lines are
+    skipped; duplicate edges collapse.  ``base`` declares whether ids
+    start at 0 or 1 (they are rebased to 0).  The directive pins the
+    node count, the only way to keep isolated trailing nodes; without
+    it ``n`` is one more than the largest id seen.  It must exceed every
+    id on the lines before it.  A node count above :data:`MAX_NODES`,
+    declared or implied by an id, is rejected before any allocation.
 
-    Text in the exact form :func:`serialize_edge_list` writes (an
-    optional ``# nodes: N`` first line, then lines of ASCII digits, one
+    Text in the form :func:`serialize_edge_list` writes (a ``# nodes: N``
+    first line, which may be left out, then lines of ASCII digits, one
     space and ASCII digits, each ending in a newline, every id in range)
     is read in bulk.  Every other text, and every error, goes through a
     loop over the lines that names the offending line.
@@ -129,9 +130,8 @@ def _parse_clean(text: str, base: int) -> Digraph | None:
     body = text
     if text.startswith("#"):
         first, _, body = text.partition("\n")
-        m = _NODES_DIRECTIVE.match(first)
-        # isprintable() rules out the other characters splitlines() breaks at.
-        if m is None or not first.isprintable():
+        m = _NODES_DIRECTIVE.fullmatch(first)
+        if m is None:
             return None
         declared_n = int(m.group(1))
         if declared_n > MAX_NODES:
@@ -171,7 +171,7 @@ def _parse_lines(text: str, base: int) -> Digraph:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
-            m = _NODES_DIRECTIVE.match(stripped)
+            m = _NODES_DIRECTIVE.fullmatch(stripped)
             if m:
                 if declared_n is not None:
                     raise EdgeListError("duplicate 'nodes:' directive", line_no)
@@ -196,12 +196,9 @@ def _parse_lines(text: str, base: int) -> Digraph:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListError(f"expected 'u v', got {stripped!r}", line_no)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListError(f"non-integer id in {stripped!r}", line_no) from None
-        u -= base
-        v -= base
+        if not (_ID.fullmatch(tokens[0]) and _ID.fullmatch(tokens[1])):
+            raise EdgeListError(f"non-integer id in {stripped!r}", line_no)
+        u, v = int(tokens[0]) - base, int(tokens[1]) - base
         if u < 0 or v < 0:
             raise EdgeListError(f"id below base {base} in {stripped!r}", line_no)
         if declared_n is not None and (u >= declared_n or v >= declared_n):
@@ -221,18 +218,11 @@ def _parse_lines(text: str, base: int) -> Digraph:
     return Digraph._build(n, zip(tails, heads))
 
 
-def serialize_edge_list(g: Digraph, base: int = 0, header: bool = True) -> str:
+def serialize_edge_list(g: Digraph) -> str:
     """Canonical edge-list text: one "u v" per line, pair-lexicographic order.
 
-    With ``header`` a ``# nodes: N`` directive is emitted first so the
-    round-trip preserves isolated nodes.
+    A ``# nodes: N`` directive comes first, so the round-trip preserves
+    isolated nodes.
     """
-    if base not in (0, 1):
-        raise ValueError(f"base must be 0 or 1, got {base}")
-    lines: list[str] = []
-    if header:
-        lines.append(f"# nodes: {g.n}")
-    lines.extend(
-        f"{u + base} {v + base}" for u, heads in enumerate(g.out_adj) for v in heads
-    )
-    return "\n".join(lines) + ("\n" if lines else "")
+    edges = (f"{u} {v}\n" for u, heads in enumerate(g.out_adj) for v in heads)
+    return f"# nodes: {g.n}\n" + "".join(edges)

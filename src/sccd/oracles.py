@@ -162,10 +162,3 @@ def scc_kosaraju(g: Digraph) -> SccPartition:
                     label[w] = count
                     work.append(w)
     return SccPartition.from_labels(label)
-
-
-def partitions_equal(a: SccPartition, b: SccPartition) -> bool:
-    """Whether two partitions are the same family of sets."""
-    if a.n != b.n:
-        raise ValueError(f"partitions over different universes: {a.n} vs {b.n}")
-    return a.labels == b.labels

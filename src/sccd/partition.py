@@ -31,10 +31,6 @@ class SccPartition:
         return cls(labels=canonical, num_components=len(index))
 
     @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Each component's members, ascending, in label order."""
         members: list[list[int]] = [[] for _ in range(self.num_components)]

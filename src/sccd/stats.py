@@ -12,7 +12,6 @@ from .oracles import scc_kosaraju  # noqa: F401
 
 @dataclass(frozen=True)
 class GraphStats:
-    n: int
     m: int
     d_in_max: int
     finite_diameter: int
@@ -27,7 +26,6 @@ def graph_stats(g: Digraph) -> GraphStats:
     if g.n < 1:
         raise ValueError("graph_stats requires a nonempty graph")
     return GraphStats(
-        n=g.n,
         m=g.m,
         d_in_max=max_in_degree(g),
         finite_diameter=bfs_finite_diameter(g),

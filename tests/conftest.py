@@ -84,6 +84,13 @@ def edge_set(g: Digraph) -> set[tuple[int, int]]:
     return {(u, v) for u, heads in enumerate(g.out_adj) for v in heads}
 
 
+def edge_list_text(g: Digraph, base: int = 0, header: bool = True) -> str:
+    """``g`` in ``serialize_edge_list``'s form, with ids from ``base`` and an optional header."""
+    lines = [f"# nodes: {g.n}"] if header else []
+    lines += [f"{u + base} {v + base}" for u, v in sorted(edge_set(g))]
+    return "".join(line + "\n" for line in lines)
+
+
 def brute_force_sccs(g: Digraph) -> SccPartition:
     """Label each node by the smallest node it is mutually reachable with."""
     rows = distance_rows(g)

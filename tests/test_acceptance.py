@@ -32,7 +32,6 @@ from sccd.engine import (
 from sccd.oracles import (
     bfs_finite_diameter,
     floyd_warshall_diameter,
-    partitions_equal,
     scc_kosaraju,
 )
 from sccd.partition import SccPartition
@@ -78,8 +77,8 @@ def test_criterion_2_partition_oracle_equivalence(corpus):
         reference = scc_kosaraju(g)
         for mode in Mode:
             result = run(g, mode=mode)
-            parts = assemble_partition(g, result)
-            assert partitions_equal(parts, reference), f"{label} in {mode}"
+            parts = assemble_partition(result)
+            assert parts == reference, f"{label} in {mode}"
             if mode is Mode.GLOBAL_ROUNDS:
                 for v in range(g.n):
                     assert (
@@ -100,7 +99,7 @@ def test_criterion_3_adversarial_cycle_with_tail():
     frozen_result = run(g, mode=Mode.PER_NODE_FREEZE)
     # node 0 stabilizes early with only itself; merging recovers the cycle
     assert frozen_result.final.states[0].peers == frozenset({0})
-    assert partitions_equal(assemble_partition(g, frozen_result), expected)
+    assert assemble_partition(frozen_result) == expected
     global_result = run(g, mode=Mode.GLOBAL_ROUNDS)
     for v in range(13):
         assert global_result.final.states[v].peers == frozenset(
@@ -215,11 +214,11 @@ def test_criterion_8_schedule_determinism(corpus):
         for mode in Mode:
             result = run(g, mode=mode, trace=True)
             table = trace_table(result)
-            text = render_result(result, assemble_partition(g, result))
+            text = render_result(result, assemble_partition(result))
             for name, order in schedules(i).items():
                 ref = reference_run(g, mode=mode, trace=True, order=order)
                 assert trace_table(ref) == table, f"{label} in {mode}, {name} order"
-                assert render_result(ref, assemble_partition(g, ref)) == text, (
+                assert render_result(ref, assemble_partition(ref)) == text, (
                     f"{label} in {mode}, {name} order"
                 )
     print(

@@ -155,6 +155,23 @@ def test_trace_command_reproduces_worked_table(chain_file, capsys):
     assert capsys.readouterr().out == render_golden(GOLDEN_PAIR_CHAIN, base=1)
 
 
+@pytest.mark.parametrize("flags", [[], ["--global-rounds"]])
+def test_trace_above_entry_limit_exits_2(tmp_path, capsys, monkeypatch, flags):
+    # A 30-node cycle keeps 120 entries in round 0 and 90 + 30 * (k + 1) in
+    # round k, so a limit of 1,000 is passed in round 5; an untraced run is
+    # not limited.
+    monkeypatch.setattr("sccd.engine.MAX_TRACE_ENTRIES", 1000)
+    p = tmp_path / "cycle.txt"
+    p.write_text("".join(f"{v} {(v + 1) % 30}\n" for v in range(30)))
+    assert main(["trace", str(p), *flags]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: the trace of this graph passes the limit of 1000 entries in round 5\n"
+    ))
+    assert main(["scc", str(p), *flags]) == 0
+    monkeypatch.undo()
+    assert main(["trace", str(p), *flags]) == 0
+
+
 def test_mode_flag_is_refused(chain_file, tmp_path, capsys):
     # --global-rounds is the one switch for the engine mode.
     bench = ["bench", "--family", "er", "--seed", "1", "--out", str(tmp_path / "b.csv")]

@@ -18,7 +18,7 @@ from sccd.engine import (
     run,
 )
 from sccd.graphs import Digraph, parse_edge_list
-from sccd.oracles import partitions_equal, scc_kosaraju
+from sccd.oracles import scc_kosaraju
 
 from conftest import INF, complete5, cycle_with_tail, distance_rows, pair_chain, tree9
 from corpus import gen_uniform_digraph
@@ -166,12 +166,12 @@ def test_finite_diameter_worked_graphs():
 def test_partition_worked_graphs_both_modes():
     for mode in Mode:
         g = pair_chain()
-        parts = assemble_partition(g, run(g, mode=mode))
+        parts = assemble_partition(run(g, mode=mode))
         assert set(parts.components) == {(0, 1), (2, 3), (4, 5)}
         k5 = complete5()
-        assert assemble_partition(k5, run(k5, mode=mode)).num_components == 1
+        assert assemble_partition(run(k5, mode=mode)).num_components == 1
         t = tree9()
-        assert assemble_partition(t, run(t, mode=mode)).num_components == 9
+        assert assemble_partition(run(t, mode=mode)).num_components == 9
 
 
 def test_cycle_with_tail_needs_maximal_merge():
@@ -181,8 +181,8 @@ def test_cycle_with_tail_needs_maximal_merge():
     assert result.final.states[0].peers == frozenset({0})
     # ... the last one holds the whole cycle, and assembly recovers it.
     assert result.final.states[2].peers == frozenset({0, 1, 2})
-    parts = assemble_partition(g, result)
-    assert partitions_equal(parts, scc_kosaraju(g))
+    parts = assemble_partition(result)
+    assert parts == scc_kosaraju(g)
     assert finite_diameter_from_run(result) == 12
 
 
@@ -197,8 +197,8 @@ def test_cycle_with_tail_global_mode_peer_sets_are_exact():
 
 
 def test_assemble_rejects_non_nested_peer_sets():
-    g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    # Final peer sets {0, 1}, {1, 2} and {} as masks over the one component.
+    # The graph 0 <-> 1 <-> 2, with final peer sets {0, 1}, {1, 2} and {}
+    # as masks over its one component.
     fake = RunResult(
         rounds_per_node=(2, 2, 2),
         element_ops=0,
@@ -207,14 +207,14 @@ def test_assemble_rejects_non_nested_peer_sets():
         peers=(0b011, 0b110, 0b000),
     )
     with pytest.raises(InternalCorrectnessError):
-        assemble_partition(g, fake)
+        assemble_partition(fake)
 
 
 def test_assemble_rejects_overlapping_chosen_sets():
     # Each peer set lies inside the set its smallest member joins, but node 1
     # joins {1, 2} while node 0 joins {0, 1}: the chosen sets overlap.
-    g = Digraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    # Final peer sets {1, 2}, {0, 1} and {} as masks over the one component.
+    # The graph 0 <-> 1 <-> 2, with final peer sets {1, 2}, {0, 1} and {}
+    # as masks over its one component.
     fake = RunResult(
         rounds_per_node=(2, 2, 2),
         element_ops=0,
@@ -223,7 +223,7 @@ def test_assemble_rejects_overlapping_chosen_sets():
         peers=(0b110, 0b011, 0b000),
     )
     with pytest.raises(InternalCorrectnessError, match="overlap"):
-        assemble_partition(g, fake)
+        assemble_partition(fake)
 
 
 def test_assembly_memory_per_node():
@@ -235,19 +235,13 @@ def test_assembly_memory_per_node():
     result = run(g)
     tracemalloc.start()
     try:
-        partition = assemble_partition(g, result)
+        partition = assemble_partition(result)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert partition.num_components == n
     assert peak < 256 * n
     assert held < 64 * n
-
-
-def test_assemble_rejects_mismatched_graph():
-    g = pair_chain()
-    with pytest.raises(ValueError):
-        assemble_partition(Digraph.from_edges(2, []), run(g))
 
 
 def test_reach_sets_exact_at_freeze():
@@ -288,7 +282,7 @@ def test_determinism_across_modes_and_schedules():
         parts = set()
         for mode in Mode:
             result = run(g, mode=mode, trace=True)
-            parts.add(assemble_partition(g, result).components)
+            parts.add(assemble_partition(result).components)
             for name, order in schedules(seed).items():
                 ref = reference_run(g, mode=mode, trace=True, order=order)
                 assert ref.rounds_per_node == result.rounds_per_node, (mode, name)
@@ -307,7 +301,7 @@ def test_masks_are_local_to_weak_components():
     assert result.rounds_per_node == (2,) * n
     assert result.final.states[n - 1].reach == frozenset({n - 2, n - 1})
     assert result.final.states[n - 1].peers == frozenset({n - 2, n - 1})
-    assert assemble_partition(g, result).components == tuple(
+    assert assemble_partition(result).components == tuple(
         (v, v + 1) for v in range(0, n, 2)
     )
 
@@ -358,15 +352,15 @@ def test_self_loop_is_harmless():
     result = run(g)
     assert result.rounds_per_node == (1, 2)
     assert finite_diameter_from_run(result) == 1
-    parts = assemble_partition(g, result)
-    assert partitions_equal(parts, scc_kosaraju(g))
+    parts = assemble_partition(result)
+    assert parts == scc_kosaraju(g)
     assert parts.num_components == 2
 
 
 def test_render_result_layout():
     g = pair_chain()
     result = run(g)
-    text = render_result(result, assemble_partition(g, result), base=1)
+    text = render_result(result, assemble_partition(result), base=1)
     lines = text.splitlines()
     assert lines[0] == "component: 1 2"
     assert lines[3] == "rounds: 2 2 3 4 5 6"

@@ -16,7 +16,7 @@ from sccd.graphs import (
 from sccd.oracles import scc_kosaraju
 from sccd.stats import graph_stats
 
-from conftest import PAIR_CHAIN_TEXT, complete5, edge_set, pair_chain, tree9
+from conftest import PAIR_CHAIN_TEXT, complete5, edge_list_text, edge_set, pair_chain, tree9
 
 
 def test_parse_worked_example_base1():
@@ -84,6 +84,20 @@ def test_parse_malformed_line_reports_line_number():
         parse_edge_list("a b\n")
 
 
+@pytest.mark.parametrize("line", ["0 1_0", "0 \u0661", "\uff10 1"])
+def test_parse_refuses_ids_int_alone_would_read(line):
+    # int() reads these as 0 10, 0 1 and 0 1; an id is ASCII digits and a sign.
+    with pytest.raises(EdgeListError, match="line 2: non-integer id"):
+        parse_edge_list(f"0 1\n{line}\n")
+
+
+def test_nodes_directive_is_ascii():
+    # With other digits or spaces the line is a plain comment.
+    assert parse_edge_list("# nodes: \uff15\n0 1\n").n == 2
+    assert parse_edge_list("#\u3000nodes: 5\n0 1\n").n == 2
+    assert parse_edge_list("#\tnodes:\t5\t\n0 1\n").n == 5
+
+
 def test_parse_negative_id_rejected():
     with pytest.raises(EdgeListError):
         parse_edge_list("-1 2\n")
@@ -116,13 +130,16 @@ def test_serialize_round_trip_is_identity_on_edges():
 
 def test_serialize_is_sorted_and_stable():
     g = Digraph.from_edges(3, [(2, 1), (0, 2), (0, 1)])
-    assert serialize_edge_list(g, header=False) == "0 1\n0 2\n2 1\n"
+    assert serialize_edge_list(g) == "# nodes: 3\n0 1\n0 2\n2 1\n"
     assert serialize_edge_list(g) == serialize_edge_list(g)
 
 
 def test_serialize_base1():
+    # serialize_edge_list writes 0-based ids; 1-based text of the same graph reads back to it.
     g = Digraph.from_edges(2, [(0, 1)])
-    assert serialize_edge_list(g, base=1, header=False) == "1 2\n"
+    assert edge_list_text(g) == serialize_edge_list(g) == "# nodes: 2\n0 1\n"
+    assert edge_list_text(g, base=1, header=False) == "1 2\n"
+    assert parse_edge_list("1 2\n", base=1) == g
 
 
 def test_clean_text_takes_the_bulk_path(monkeypatch):
@@ -140,8 +157,8 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
     ]
     for g in drawn:
         for base in (0, 1):
-            assert parse_edge_list(serialize_edge_list(g, base=base), base=base) == g
-            text = serialize_edge_list(g, base=base, header=False)
+            assert parse_edge_list(edge_list_text(g, base), base=base) == g
+            text = edge_list_text(g, base, header=False)
             assert edge_set(parse_edge_list(text, base=base)) == edge_set(g)
     for base in (0, 1):
         assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
@@ -199,11 +216,11 @@ def test_from_edges_rejects_out_of_range():
 def test_graph_stats_worked_examples():
     # graph_stats keeps no SCC count; the counts come from Kosaraju directly.
     for make, expected, num_sccs in (
-        (pair_chain, (6, 8, 2, 5), 3),
-        (complete5, (5, 20, 4, 1), 1),
-        (tree9, (9, 8, 1, 3), 9),
+        (pair_chain, (8, 2, 5), 3),
+        (complete5, (20, 4, 1), 1),
+        (tree9, (8, 1, 3), 9),
     ):
         g = make()
         s = graph_stats(g)
-        assert (s.n, s.m, s.d_in_max, s.finite_diameter) == expected
+        assert (s.m, s.d_in_max, s.finite_diameter) == expected
         assert scc_kosaraju(g).num_components == num_sccs

@@ -21,13 +21,13 @@ from sccd.cli import main
 from sccd.engine import Mode, assemble_partition, render_result, run, trace_table
 from sccd.graphs import serialize_edge_list
 
-from conftest import complete5, cycle_with_tail, pair_chain, tree9
+from conftest import complete5, cycle_with_tail, edge_list_text, pair_chain, tree9
 from corpus import build_corpus
 
 SCC_TEXT_SHA256 = "fa1e594e7368e95fe86a2aa03d2d17a7b652c07d50d67011c101729a483445a4"
 TRACE_TEXT_SHA256 = "486be2b7b921982a93b8ef2440003a88b1eb6070eb03cb47d0f41dde46ca1718"
 CSV_SHA256 = "225de643bc252cb3aa577c2f015cd2a900c197357a0a236cdc84477aa930e23d"
-CLI_SHA256 = "8f780f352672347eea507c392a8947299d95e61e4ea66db009b1fdbb5a5fddd6"
+CLI_SHA256 = "a685d0860cb4b3619f5d11aa75a0653ad642500e69ebe2e7e7cd15b145146ab0"
 
 # Malformed and hostile files, and edge cases of the format, by name.
 HOSTILE_FILES = {
@@ -63,7 +63,7 @@ def text_digest(graphs, render) -> str:
 
 def scc_text(g, mode):
     result = run(g, mode=mode)
-    return render_result(result, assemble_partition(g, result))
+    return render_result(result, assemble_partition(result))
 
 
 def trace_text(g, mode):
@@ -102,7 +102,7 @@ def test_csv_columns_match_pinned_digest(tmp_path):
 def crlf_base1(g) -> str:
     """``g`` with 1-based ids, CRLF line ends and ``#`` comments, read by the line loop."""
     lines = ["# worked or corpus graph, ids from 1"]
-    for line in serialize_edge_list(g, base=1).splitlines():
+    for line in edge_list_text(g, base=1).splitlines():
         lines.append(line if line.startswith("#") else f"{line}  # edge")
     return "\r\n".join(lines) + "\r\n"
 

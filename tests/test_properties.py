@@ -29,17 +29,15 @@ from sccd.graphs import (
     EdgeListError,
     _parse_lines,
     parse_edge_list,
-    serialize_edge_list,
 )
 from sccd.partition import SccPartition
 from sccd.oracles import (
     bfs_finite_diameter,
     floyd_warshall_diameter,
-    partitions_equal,
     scc_kosaraju,
 )
 
-from conftest import INF, brute_force_sccs, distance_rows, edge_set
+from conftest import INF, brute_force_sccs, distance_rows, edge_list_text, edge_set
 from reference_engine import reference_run
 
 MAX_N = 40
@@ -223,7 +221,7 @@ EDITS = (
 
 @st.composite
 def edited_serializations(draw) -> tuple[str, int]:
-    """``serialize_edge_list`` text of a drawn graph with at most one edit, and its base.
+    """A drawn graph's text in ``serialize_edge_list``'s form with at most one edit, and its base.
 
     An inserted line goes between any two lines of the body, or last,
     where it may lack a newline of its own.
@@ -231,7 +229,7 @@ def edited_serializations(draw) -> tuple[str, int]:
     g = draw(digraphs())
     base = draw(st.sampled_from((0, 1)))
     header = draw(st.booleans())
-    text = serialize_edge_list(g, base=base, header=header)
+    text = edge_list_text(g, base, header)
     edit = draw(st.sampled_from(EDITS))
     if edit is None:
         return text, base
@@ -309,9 +307,9 @@ def test_engine_equals_reference_engine(g):
 @given(graphs)
 def test_partition_equals_kosaraju_and_brute_force(g):
     reference = scc_kosaraju(g)
-    assert partitions_equal(brute_force_sccs(g), reference)
+    assert brute_force_sccs(g) == reference
     for mode in Mode:
-        assert partitions_equal(assemble_partition(g, run(g, mode=mode)), reference), mode
+        assert assemble_partition(run(g, mode=mode)) == reference, mode
 
 
 @CHECKED
@@ -372,8 +370,8 @@ def test_partition_labels_are_canonical(pair):
     assert (a == b) == (node_sets(x) == node_sets(y))
     for p, labels in ((a, x), (b, y)):
         comps = p.components
-        assert p.n == len(labels) and p.num_components == len(comps)
+        assert len(p.labels) == len(labels) and p.num_components == len(comps)
         assert {frozenset(c) for c in comps} == node_sets(labels)
         assert all(list(c) == sorted(set(c)) for c in comps)
         assert [c[0] for c in comps] == sorted(c[0] for c in comps)
-        assert all(v in comps[p.labels[v]] for v in range(p.n))
+        assert all(v in comps[p.labels[v]] for v in range(len(labels)))
