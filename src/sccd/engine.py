@@ -124,8 +124,10 @@ class RunResult:
 MAX_MASK_BITS = 1 << 32
 
 # Entries a trace may keep: 3 per NodeState, one per node per round (~150 B),
-# and 1 per member of each new reach set (~60 B with its peer set).  Worst
-# refusal measured: a 1,000-node cycle at 601 MiB RSS (x86_64, Python 3.11).
+# and 1 per member of each new reach set (~60 B with its peer set).  A round
+# shares the states of the nodes that did not run, so the count is an upper
+# bound.  Worst refusal measured: a 1,000-node cycle at 601 MiB RSS (x86_64,
+# Python 3.11).
 MAX_TRACE_ENTRIES = 1 << 23
 
 
@@ -250,9 +252,10 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
             size[v] = s
         if history is not None:
             # In global-rounds mode the frozen flag latches only on the last round.
-            history.append(
-                _snapshot(comps, reach, peers, stable, rounds, per_node or not grown, views)
-            )
+            history.append(_snapshot(
+                comps, reach, peers, stable, rounds, per_node or not grown, views,
+                history[-1].states,
+            ))
         live = [v for v, _, _ in grown]
     if not per_node:
         # Every node counts as executing every round; its last round read
@@ -295,16 +298,21 @@ def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
 def _snapshot(
     comps: Sequence[Sequence[NodeId]], reach: Sequence[int], peers: Sequence[int],
     stable: Sequence[bool], rounds: Sequence[int], latched: bool, views: dict,
+    prev: Sequence[NodeState] = (),
 ) -> RoundSnapshot:
     """:class:`NodeState` views of per-node masks, one frozenset per distinct mask.
 
     A stable node is frozen in per-node-freeze mode, and in global-rounds
     mode only once every node is stable (``latched``).  A node's max size
-    is the size of its reach set.
+    is the size of its reach set.  A node whose round count is the one it
+    has in ``prev``, the previous round's states, did not run, so its
+    state there is shared.
     """
-    states: list = [None] * len(reach)
+    states = list(prev) or [None] * len(reach)
     for nodes in comps:
         for v in nodes:
+            if prev and prev[v].rounds == rounds[v]:
+                continue
             states[v] = NodeState(
                 reach=_members(reach[v], nodes, views),
                 max_size=reach[v].bit_count(),

@@ -16,9 +16,6 @@ from sccd.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
     emit_csv,
-    expected_cost_ba,
-    expected_cost_er,
-    expected_cost_ws,
     run_experiment,
 )
 from sccd.engine import (
@@ -38,6 +35,7 @@ from sccd.partition import SccPartition
 
 from conftest import INF, complete5, cycle_with_tail, distance_rows, pair_chain, tree9
 from corpus import build_corpus
+from cost_model import expected_cost_ba, expected_cost_er, expected_cost_ws
 from reference_engine import reference_run, schedules
 from tables import GOLDEN_COMPLETE5, GOLDEN_PAIR_CHAIN, GOLDEN_TREE9, render_golden
 

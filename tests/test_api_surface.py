@@ -18,10 +18,6 @@ PACKAGE = sorted((ROOT / "src" / "sccd").glob("*.py"))
 CALLERS = [p for p in PACKAGE if p.name != "__init__.py"]
 CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 
-# The paper's expected-cost model waits for a reader that compares it with
-# measured rounds (ROADMAP item 5); until then only tests read it.
-COST_MODEL = {"expected_cost_er", "expected_cost_ba", "expected_cost_ws"}
-
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text())
@@ -51,7 +47,7 @@ def test_every_export_has_a_caller_outside_the_tests():
         for name in dict.fromkeys([*sccd.__all__, *defined])
         if not any(name in reads and name != owner for owner, reads in statements)
     ]
-    assert [name for name in unread if name not in COST_MODEL] == []
+    assert unread == []
 
 
 def test_every_default_is_overridden_outside_the_tests():

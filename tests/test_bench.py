@@ -10,20 +10,18 @@ import pytest
 from sccd import bench, stats
 from sccd.bench import (
     CSV_COLUMNS,
-    EULER_MASCHERONI,
     ExperimentConfig,
     ExperimentRecord,
     TIMING_REPS,
     diameter_benchmark,
     emit_csv,
-    expected_cost_ba,
-    expected_cost_er,
-    expected_cost_ws,
     run_experiment,
     write_manifest,
 )
-from sccd.engine import InternalCorrectnessError, Mode
+from sccd.engine import InternalCorrectnessError, Mode, run
 from sccd.partition import SccPartition
+
+from cost_model import EULER_MASCHERONI, expected_cost_ba, expected_cost_er, expected_cost_ws
 
 
 def test_expected_cost_er_worked_values():
@@ -84,6 +82,52 @@ def test_expected_costs_monotone_over_benchmark_sizes():
 
 def test_euler_mascheroni_constant():
     assert EULER_MASCHERONI == pytest.approx(0.5772156649015329, abs=1e-16)
+
+
+def _merges_per_node(family: str, parameter_set: int, n: int) -> float:
+    """Mean in-neighbour merges per node of one per-node-freeze run on a bench graph.
+
+    The graph is the first replicate ``sccd bench --seed 1`` builds for the
+    family, set and size; node v runs ``rounds_per_node[v]`` updates of
+    ``len(in_adj[v])`` merges each.
+    """
+    g, _ = bench._generate(family, parameter_set, n, bench._record_seed(1, parameter_set, n, 0))
+    result = run(g)
+    return sum(k * len(ins) for k, ins in zip(result.rounds_per_node, g.in_adj)) / n
+
+
+SIZES = (100, 200, 300, 400, 500)
+
+
+@pytest.mark.parametrize("parameter_set", [1, 2])
+def test_ba_merges_follow_the_expected_cost(parameter_set):
+    """The paper's cost estimate holds the engine's work on the BA bench graphs.
+
+    Over all ten replicates of both sets at n = 100..500, merges per node
+    read 0.77-1.00x the expected cost.  ER is left out: set 1 has mean
+    degree below 1, where the path-length formula is undefined, and set 2
+    (500 edges) read 1.2-1.7x at n <= 300 but 0.3-0.7x at n = 500, where
+    each node has one out-edge on average; a bound that wide holds nothing.
+    """
+    for n in SIZES:
+        m = bench._generator_args("BA", parameter_set, n)[1]
+        ratio = _merges_per_node("BA", parameter_set, n) / expected_cost_ba(n, m).expected_cost
+        assert 0.75 <= ratio <= 1.0, (n, ratio)
+
+
+@pytest.mark.parametrize("parameter_set", [1, 2])
+def test_ws_merges_lie_between_the_lattice_and_rewired_limits(parameter_set):
+    """Merges per node on the WS bench graphs lie between the two limiting costs.
+
+    Over all ten replicates of both sets (rewiring 0.2 and 0.8) at
+    n = 100..500 they lay 0.06-0.52 of the way from the rewired limit to
+    the lattice one.
+    """
+    for n in SIZES:
+        lattice, rewired = expected_cost_ws(n, bench.WS_LATTICE_K)
+        merges = _merges_per_node("WS", parameter_set, n)
+        share = (merges - rewired.expected_cost) / (lattice.expected_cost - rewired.expected_cost)
+        assert 0.05 <= share <= 0.55, (n, share)
 
 
 def _tiny_config(family: str, **kw) -> ExperimentConfig:
