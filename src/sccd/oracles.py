@@ -4,15 +4,18 @@ These are the independent reference implementations the round engine is
 checked against by ``sccd bench`` and ``sccd diameter --check``, and the
 comparison subjects of the benchmark harness.  All of them are pure
 functions of an immutable graph.  The BFS diameter walks forward over
-out-neighbours from one source at a time, unlike the engine's merge of
-in-neighbour reach sets from all sources at once, so that a bug in one
-cannot hide the same bug in the other.
+out-neighbours from one source at a time, clearing reached nodes from a
+mask of the nodes not yet seen and stopping, even mid-frontier, once
+that mask is empty.  That is unlike the engine's merge of in-neighbour
+reach sets from all sources at once, so that a bug in one cannot hide
+the same bug in the other.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress
+from typing import Iterator
 
 from .graphs import Digraph
 from .partition import SccPartition
@@ -23,38 +26,46 @@ INF = math.inf
 def bfs_finite_diameter(g: Digraph) -> int:
     """Largest finite shortest-path length, without storing the matrix.
 
-    One forward BFS per source on int bitsets: bit ``w`` of ``out_mask[u]``
-    is the edge ``u -> w``.  A step ORs the masks of the frontier nodes
-    and clears the ``seen`` bits, so it costs one OR per frontier node
-    instead of one check per edge.  The next frontier's ids are read bit
-    by bit from a sparse mask (under one set bit in 8) and from the
-    binary digits of a denser one.  A walk ends when a step finds no new
-    node, or as soon as ``seen`` holds all ``n`` nodes: the source's
-    eccentricity is then the depth just reached, and its last frontier is
-    neither read nor expanded.
+    One forward BFS per source on int bitsets.  ``unseen`` holds the
+    nodes the walk has not reached, and each frontier node ``u`` clears
+    its out-neighbours from it with one AND against ``not_out[u]``, the
+    complement of its out-mask, so a step costs one AND per frontier node
+    instead of one check per edge, and an AND is only as wide as the
+    highest node still unseen.  The walk stops as soon as ``unseen`` is
+    empty, even part-way through a frontier: the source's eccentricity
+    is then one more than the frontier's depth, and the rest of that
+    frontier is neither read nor expanded.  It also stops when a whole
+    frontier leaves ``unseen`` unchanged: the eccentricity is then the
+    frontier's depth.  Otherwise the newly seen nodes are the next
+    frontier, whose ids are read bit by bit from a sparse mask (under one
+    set bit in 8) and lazily from the binary digits of a denser one.
     """
     if g.n < 1:
         raise ValueError("bfs_finite_diameter requires a nonempty graph")
     n = g.n
-    out_mask = [sum(1 << w for w in heads) for heads in g.out_adj]
     everyone = (1 << n) - 1
+    # Nodes without out-edges share one ``everyone``, so a sparse graph
+    # does not hold an n-bit int per node.
+    not_out = [everyone ^ sum(1 << w for w in heads) if heads else everyone
+               for heads in g.out_adj]
     best = 0
     for s in range(n):
-        seen = 1 << s
-        frontier = [s]
+        unseen = everyone ^ (1 << s)
+        frontier = (s,)
         # Every step reaches a new node, so the walk ends by depth n - 1.
         depth = 0
         while True:
-            nxt = 0
+            before = unseen
             for u in frontier:
-                nxt |= out_mask[u]
-            nxt &= ~seen
-            if not nxt:
+                unseen &= not_out[u]
+                if not unseen:
+                    break
+            if unseen == before:
                 break
             depth += 1
-            seen |= nxt
-            if seen == everyone:
+            if not unseen:
                 break
+            nxt = before ^ unseen
             if nxt.bit_count() * 8 < nxt.bit_length():
                 frontier = _bits_one_by_one(nxt)
             else:
@@ -77,10 +88,11 @@ def _bits_one_by_one(mask: int) -> list[int]:
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits_from_digits(mask: int) -> list[int]:
-    # The set bits of a dense mask, read from its binary digits in one pass.
+def _bits_from_digits(mask: int) -> Iterator[int]:
+    # The set bits of a dense mask, from the bottom, read from its binary
+    # digits; a walk that stops early takes only the ids it expands.
     digits = format(mask, "b")[::-1].encode().translate(_DIGIT_VALUES)
-    return list(compress(range(len(digits)), digits))
+    return compress(range(len(digits)), digits)
 
 
 def floyd_warshall_diameter(g: Digraph) -> int:

@@ -18,7 +18,7 @@ class GraphStats:
 
 
 def graph_stats(g: Digraph) -> GraphStats:
-    """Node/edge counts, max in-degree and BFS finite diameter.
+    """Edge count, max in-degree and BFS finite diameter.
 
     The SCC count is not among them: a bench record reads it from the
     Kosaraju partition it checks the engine against.

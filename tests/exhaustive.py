@@ -2,7 +2,15 @@
 
 :func:`check_all_digraphs` enumerates each digraph on exactly ``k`` nodes
 and checks, in both modes, that the engine's partition is Kosaraju's and
-that its diameter is the BFS one, which must equal Floyd-Warshall's.  With
+that its diameter is the BFS one, which must equal Floyd-Warshall's.  It
+decodes each node's final peer set itself.  In global-rounds mode that set
+must be the node's Kosaraju component.  In per-node-freeze mode it must be
+the members ``u`` of that component whose in-eccentricity (longest finite
+distance into the node) is at most ``v``'s: ``v`` settles in round
+``ecc(v) + 1`` and reads the sizes of round ``ecc(v)``, when a member of
+its component has its full reach set exactly if ``ecc(u) <= ecc(v)``, and
+a node outside it has a smaller one.  Peers read against the sizes of
+round ``ecc(v) + 1`` instead fail this on 0 <-> 1, 2 -> 0.  With
 ``against_reference`` it also checks the trace, round counts and element
 ops against :func:`reference_engine.reference_run`.  Tier-1 covers 1-4
 nodes, and 1-3 with self-loops (``tests/test_exhaustive.py``); CI covers
@@ -17,6 +25,7 @@ from sccd.engine import Mode, assemble_partition, finite_diameter_from_run, run
 from sccd.graphs import Digraph
 from sccd.oracles import bfs_finite_diameter, floyd_warshall_diameter, scc_kosaraju
 
+from conftest import INF, distance_rows
 from reference_engine import reference_run
 
 
@@ -30,6 +39,9 @@ def check_all_digraphs(k: int, loops: bool = False, against_reference: bool = Fa
         edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
         g = Digraph.from_edges(k, edges)
         components = scc_kosaraju(g)
+        scc_of = [frozenset(c) for c in components.components]
+        rows = distance_rows(g)
+        ecc = [max(row[v] for row in rows if row[v] != INF) for v in range(k)]
         diameter = bfs_finite_diameter(g)
         assert floyd_warshall_diameter(g) == diameter, f"oracles disagree on {k} nodes, {edges}"
         for mode in Mode:
@@ -37,6 +49,13 @@ def check_all_digraphs(k: int, loops: bool = False, against_reference: bool = Fa
             result = run(g, mode, trace=against_reference)
             assert assemble_partition(result) == components, where
             assert finite_diameter_from_run(result) == diameter, where
+            for nodes in result.components:
+                for v in nodes:
+                    peers = {w for i, w in enumerate(nodes) if result.peers[v] >> i & 1}
+                    scc = scc_of[components.labels[v]]
+                    if mode is Mode.PER_NODE_FREEZE:
+                        scc = {u for u in scc if ecc[u] <= ecc[v]}
+                    assert peers == scc, f"peers of {v}, {where}"
             if against_reference:
                 ref = reference_run(g, mode, trace=True)
                 assert result.history == ref.history, where

@@ -131,6 +131,46 @@ def test_bfs_finite_diameter_pinned_cases(monkeypatch):
     assert calls == {"_bits_one_by_one": 0, "_bits_from_digits": 0}
 
 
+def _spy_on_dense_ids(monkeypatch) -> dict[str, int]:
+    # Ids in the dense masks the walk reads, and ids it takes from them.
+    counts = {"offered": 0, "taken": 0}
+    read = oracles._bits_from_digits
+
+    def counted(mask):
+        counts["offered"] += mask.bit_count()
+        for v in read(mask):
+            counts["taken"] += 1
+            yield v
+
+    monkeypatch.setattr(oracles, "_bits_from_digits", counted)
+    return counts
+
+
+def test_bfs_finite_diameter_stops_mid_frontier(monkeypatch):
+    counts = _spy_on_dense_ids(monkeypatch)
+    # Node 0 reaches every node; every other node reaches 0 .. 19.  From a
+    # source v >= 1 the second frontier is {0 .. 19} - {v}, a dense mask
+    # whose first id, the hub 0, sees every node still unseen, so each of
+    # those 59 walks takes one id of its 19 or 20 and stops there.
+    hub = Digraph.from_edges(
+        60, [(0, v) for v in range(1, 60)] + [(u, v) for u in range(1, 60) for v in range(20) if u != v]
+    )
+    expected = max(d for row in distance_rows(hub) for d in row if d != INF)
+    assert bfs_finite_diameter(hub) == expected == 2
+    assert counts == {"offered": 19 * 19 + 40 * 20, "taken": 59}
+    # Nodes 0 and 1 reach a dense random graph on 2 .. 59 and nothing
+    # reaches them, so no walk sees every node: each one reads every id of
+    # every dense frontier and stops on a frontier that finds nothing new.
+    # The roots' second frontier alone is {2 .. 59}, read twice.
+    counts.update(dict.fromkeys(counts, 0))
+    dense = gen_uniform_digraph(58, 0.3, seed=2024)
+    edges = [(u + 2, v + 2) for u, heads in enumerate(dense.out_adj) for v in heads]
+    two_roots = Digraph.from_edges(60, edges + [(r, v) for r in (0, 1) for v in range(2, 60)])
+    expected = max(d for row in distance_rows(two_roots) for d in row if d != INF)
+    assert bfs_finite_diameter(two_roots) == expected
+    assert counts["taken"] == counts["offered"] >= 2 * 58
+
+
 def test_floyd_warshall_worked_examples():
     assert floyd_warshall_diameter(pair_chain()) == 5
     assert floyd_warshall_diameter(complete5()) == 1
