@@ -138,8 +138,10 @@ def _check_and_record(
     with_floyd_warshall: bool,
 ) -> ExperimentRecord:
     g, params = _generate(family, parameter_set, n, seed)
-    stats = graph_stats(g)
+    # The engine refuses a graph too large for its masks (GraphTooLargeError)
+    # before it allocates them; run it first so the oracles never walk one.
     result, t_consensus = _median_time(lambda: run(g, mode=mode))
+    stats = graph_stats(g)
     partition = assemble_partition(result)
     reference, t_kosaraju = _median_time(lambda: scc_kosaraju(g))
     rounds_max = max(result.rounds_per_node)

@@ -76,9 +76,17 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
     Each new vertex attaches to ``m`` distinct existing vertices chosen
     with probability proportional to their undirected degree (uniformly
     while all degrees are still zero, which only happens for m=1).
+
+    A draw from ``repeated`` (one entry per unit of degree) takes
+    ``getrandbits(k)``, with ``k`` the bit length of ``len(repeated)``,
+    until the value is below ``len(repeated)``, and picks that entry.
+    This is how ``rng.choice(repeated)`` draws on CPython 3.10-3.13, so
+    the graphs equal those built with ``choice``; defining the draw over
+    the public ``getrandbits`` keeps them from depending on ``choice``.
     """
     check_barabasi_albert(n, m)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     edges: list[tuple[int, int]] = []
     repeated: list[int] = []  # node id repeated once per unit of degree
     for i in range(m):
@@ -87,12 +95,17 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
             repeated.extend((i, j))
     for new in range(m, n):
         targets: set[int] = set()
+        # repeated grows only after this node's targets are chosen.
+        size = len(repeated)
+        k = size.bit_length()
         while len(targets) < m:
-            if repeated:
-                cand = rng.choice(repeated)
+            if size:
+                r = getrandbits(k)
+                while r >= size:
+                    r = getrandbits(k)
+                targets.add(repeated[r])
             else:
-                cand = rng.randrange(new)
-            targets.add(cand)
+                targets.add(rng.randrange(new))
         for t in sorted(targets):
             edges.append((new, t))
             repeated.extend((new, t))

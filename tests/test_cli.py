@@ -310,6 +310,21 @@ def test_bench_size_the_generator_refuses_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_bench_size_the_engine_refuses_exits_2_before_the_oracles(tmp_path, capsys, monkeypatch):
+    # A WS set 2 graph of 200 nodes is one weakly connected component, whose
+    # 200 * 200 mask bits pass the lowered limit.  The BFS oracle would walk
+    # it first if graph_stats ran before the engine.
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the BFS oracle ran before the engine refused the graph")
+
+    monkeypatch.setattr("sccd.engine.MAX_MASK_BITS", 100 * 100)
+    monkeypatch.setattr("sccd.stats.bfs_finite_diameter", no_oracle)
+    assert main(["bench", "--family", "ws", "--param-set", "2", "--sizes", "200",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "more than the limit of 10000" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("family", ["er", "ba", "ws"])
 @pytest.mark.parametrize("command", ["gen", "bench"])
 def test_generated_node_count_above_cap_exits_2(tmp_path, capsys, command, family):

@@ -143,6 +143,25 @@ def test_bench_graphs_are_pinned(family, parameter_set, seed, m, digest):
     assert hashlib.sha256(serialize_edge_list(g).encode()).hexdigest() == digest
 
 
+# sha256 of serialize_edge_list(gen_barabasi_albert(n, m, seed)) for the
+# other draw paths, taken while every target was drawn with rng.choice (and
+# rng.randrange before any node had a degree).  m=1 starts from an empty
+# degree list, so its first new node takes the randrange path.
+PINNED_BA_DIGESTS = [
+    (300, 1, 21, 299, "cdcdfc30766c5e1732cf99833dcdba933f3813a21ab56c1d247336cf2df23b02"),
+    (300, 2, 22, 597, "70264b6fe1f887a3fefb2581c076f50303890681639c2955bb1dd1f661180dc8"),
+    (500, 3, 23, 1494, "b681a5d530da6a82175b8754308fc82243785789338b96fd50afab93bc650659"),
+    (500, 100, 24, 44950, "26f2a5d563a89fbdf21acf8d0416ddad28330e8951b6884aae873fb96ae55a2d"),
+]
+
+
+@pytest.mark.parametrize("n, m, seed, edges, digest", PINNED_BA_DIGESTS)
+def test_ba_draw_paths_are_pinned(n, m, seed, edges, digest):
+    g = gen_barabasi_albert(n, m, seed)
+    assert g.m == edges
+    assert hashlib.sha256(serialize_edge_list(g).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "make",
     [
