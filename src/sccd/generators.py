@@ -12,13 +12,20 @@ identical graphs.
 from __future__ import annotations
 
 import random
+from typing import Iterable, Iterator
 
 from .graphs import MAX_NODES, Digraph
 
 
-def _orient(edges: list[tuple[int, int]], rng: random.Random) -> list[tuple[int, int]]:
-    # Edges arrive in construction order, so the coin flips are reproducible.
-    return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+def _orient(edges: Iterable[tuple[int, int]], rng: random.Random) -> Iterator[tuple[int, int]]:
+    # One coin per edge, in construction order, drawn as Digraph._build
+    # consumes the pairs; nothing else draws from rng meanwhile, so the
+    # coin flips are reproducible.
+    return ((u, v) if rng.random() < 0.5 else (v, u) for u, v in edges)
+
+
+def _edge_key(u: int, v: int, n: int) -> int:
+    return u * n + v if u < v else v * n + u
 
 
 def _check_nodes(n: int) -> None:
@@ -62,12 +69,8 @@ def gen_erdos_renyi(n: int, m: int, seed: int) -> Digraph:
     check_erdos_renyi(n, m)
     capacity = n * (n - 1)
     rng = random.Random(seed)
-    edges = []
-    for idx in rng.sample(range(capacity), m):
-        u, r = divmod(idx, n - 1)
-        v = r if r < u else r + 1
-        edges.append((u, v))
-    return Digraph._build(n, edges)
+    pairs = (divmod(idx, n - 1) for idx in rng.sample(range(capacity), m))
+    return Digraph._build(n, ((u, r if r < u else r + 1) for u, r in pairs))
 
 
 def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
@@ -83,15 +86,16 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
     This is how ``rng.choice(repeated)`` draws on CPython 3.10-3.13, so
     the graphs equal those built with ``choice``; defining the draw over
     the public ``getrandbits`` keeps them from depending on ``choice``.
+
+    ``repeated`` gains both endpoints of each edge as the edge is made,
+    so read two at a time it is also the edge list, in construction order.
     """
     check_barabasi_albert(n, m)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    edges: list[tuple[int, int]] = []
     repeated: list[int] = []  # node id repeated once per unit of degree
     for i in range(m):
         for j in range(i + 1, m):
-            edges.append((i, j))
             repeated.extend((i, j))
     for new in range(m, n):
         targets: set[int] = set()
@@ -107,9 +111,10 @@ def gen_barabasi_albert(n: int, m: int, seed: int) -> Digraph:
             else:
                 targets.add(rng.randrange(new))
         for t in sorted(targets):
-            edges.append((new, t))
             repeated.extend((new, t))
-    return Digraph._build(n, _orient(edges, rng))
+    it = iter(repeated)
+    del repeated  # now only the iterator holds it, which frees it once read
+    return Digraph._build(n, _orient(zip(it, it), rng))
 
 
 def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
@@ -121,30 +126,22 @@ def gen_watts_strogatz(n: int, K: int, p: float, seed: int) -> Digraph:
     """
     check_watts_strogatz(n, K, p)
     rng = random.Random(seed)
-    edges: list[tuple[int, int]] = []
-    adj: list[set[int]] = [set() for _ in range(n)]
-
-    def add(u: int, v: int) -> None:
-        edges.append((u, v))
-        adj[u].add(v)
-        adj[v].add(u)
-
-    for j in range(1, K // 2 + 1):
-        for i in range(n):
-            add(i, (i + j) % n)
-    pos = 0
-    for j in range(1, K // 2 + 1):
-        for i in range(n):
-            if rng.random() < p and len(adj[i]) < n - 1:
-                u, v = edges[pos]
+    # Edge pos joins node pos % n to heads[pos]; rewiring moves only the
+    # head.  The set holds each undirected edge {a, b}, a < b, as a * n + b.
+    heads = [(i + j) % n for j in range(1, K // 2 + 1) for i in range(n)]
+    linked = {_edge_key(pos % n, v, n) for pos, v in enumerate(heads)}
+    degree = [K] * n
+    for pos, v in enumerate(heads):
+        u = pos % n
+        if rng.random() < p and degree[u] < n - 1:
+            w = rng.randrange(n)
+            while w == u or _edge_key(u, w, n) in linked:
                 w = rng.randrange(n)
-                while w == u or w in adj[u]:
-                    w = rng.randrange(n)
-                adj[u].discard(v)
-                adj[v].discard(u)
-                adj[u].add(w)
-                adj[w].add(u)
-                edges[pos] = (u, w)
-            pos += 1
-    return Digraph._build(n, _orient(edges, rng))
-
+            linked.remove(_edge_key(u, v, n))
+            linked.add(_edge_key(u, w, n))
+            degree[v] -= 1
+            degree[w] += 1
+            heads[pos] = w
+    del linked, degree
+    tails = (u for _ in range(K // 2) for u in range(n))
+    return Digraph._build(n, _orient(zip(tails, heads), rng))

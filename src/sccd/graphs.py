@@ -63,13 +63,16 @@ class Digraph:
         # for any n >= 0.  Any other caller goes through from_edges.
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        # A list of fewer than two heads is already sorted and repeat-free;
-        # skipping the set there keeps large sparse graphs cheap.  Walking
-        # out_adj in tail order appends each in-list already sorted.
+        # The pairs are read once, so they may be a one-pass stream that no
+        # list keeps.  A list of fewer than two heads is already sorted and
+        # repeat-free; skipping the set there keeps large sparse graphs
+        # cheap.  The out-lists are freed before any in-list exists, and
+        # walking out_adj in tail order appends each in-list already sorted.
         outs: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             outs[u].append(v)
         out_adj = tuple(tuple(sorted(set(a))) if len(a) > 1 else tuple(a) for a in outs)
+        del outs
         ins: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out_adj):
             for v in heads:
@@ -151,10 +154,9 @@ def _parse_clean(text: str, base: int) -> Digraph | None:
     top = max(ids, default=base - 1) - base  # ids are >= 0: they are made of digits
     if top >= limit or (base and min(ids, default=1) < 1):
         return None
-    if base:
-        ids = [i - 1 for i in ids]
     n = top + 1 if declared_n is None else declared_n
-    it = iter(ids)
+    it = iter([i - 1 for i in ids] if base else ids)
+    del ids  # now only the iterator holds the ids, which frees them once read
     return Digraph._build(n, zip(it, it))
 
 

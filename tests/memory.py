@@ -1,0 +1,51 @@
+"""Memory measures for generated and parsed graphs, without pytest.
+
+:func:`traced_peak` gives the tracemalloc peak of one call and
+:func:`graph_bytes` what the returned graph holds.  Tier-1 holds the
+generators and the parser to bounds in these terms; CI checks one graph
+too large for Tier-1:
+
+    PYTHONPATH=src:tests python -c "from memory import check_ba_peak; check_ba_peak(2000, 400, 1)"
+"""
+from __future__ import annotations
+
+import sys
+import tracemalloc
+
+from sccd.generators import gen_barabasi_albert
+
+
+def traced_peak(make):
+    """What ``make()`` returns and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        made = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, peak
+
+
+def graph_bytes(g) -> int:
+    """Bytes of the tuples and ints a graph's adjacency holds, each object once.
+
+    Small ints are shared by the interpreter and cost the graph nothing.
+    """
+    seen = {}
+    for adj in (g.in_adj, g.out_adj):
+        seen[id(adj)] = sys.getsizeof(adj)
+        for heads in adj:
+            seen[id(heads)] = sys.getsizeof(heads)
+            for v in heads:
+                if not -5 <= v <= 256:
+                    seen[id(v)] = sys.getsizeof(v)
+    return sum(seen.values())
+
+
+def check_ba_peak(n: int, m: int, seed: int) -> None:
+    """Exit non-zero unless generating BA(n, m) peaks below twice its graph."""
+    g, peak = traced_peak(lambda: gen_barabasi_albert(n, m, seed))
+    held = graph_bytes(g)
+    print(f"BA n={n} m={m}: {g.m} edges, peak {peak / 2**20:.1f} MiB, graph {held / 2**20:.1f} MiB")
+    if peak >= 2 * held:
+        sys.exit("generation peaked at twice the graph or more")

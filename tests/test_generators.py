@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -13,10 +14,11 @@ from sccd.generators import (
     gen_erdos_renyi,
     gen_watts_strogatz,
 )
-from sccd.graphs import MAX_NODES, serialize_edge_list
+from sccd.graphs import MAX_NODES, Digraph, serialize_edge_list
 
 from conftest import edge_set
 from corpus import gen_uniform_digraph
+from memory import graph_bytes, traced_peak
 
 
 def test_er_exact_edge_count():
@@ -162,15 +164,50 @@ def test_ba_draw_paths_are_pinned(n, m, seed, edges, digest):
     assert hashlib.sha256(serialize_edge_list(g).encode()).hexdigest() == digest
 
 
+# sha256 of serialize_edge_list of the other bench parameter sets: ER set 1,
+# WS set 2 (p=0.8, most lattice edges rewired) and the diameter suite's set 0
+# at its n=25, taken while the generators still built lists of edge tuples.
+PINNED_SET_DIGESTS = [
+    ("ER", 1, 500, 14, 63, "b27a0e8398649d34835eca9e97483c66d20a9ba688778e148b6dd057cb61efc5"),
+    ("WS", 2, 500, 15, 1000, "b3a7ceb513dd5be5fafd08012a80634d6e020b19975b4de315ed2889c5359262"),
+    ("ER", 0, 25, 16, 50, "fb2d655dbdca806ccc792fde2d4d4c6ef006d572d034e3aae5c752363b2996fb"),
+    ("BA", 0, 25, 17, 69, "9ceeb680cb7038f04059427d434f47e40cb243551f13bd1194f8dd623c37c07e"),
+    ("WS", 0, 25, 18, 50, "bf6ce9cd7f65e0ddf3c962d4207d6f25160f28e188d4bcfe17759b602b6c4baa"),
+]
+
+
+@pytest.mark.parametrize("family, parameter_set, n, seed, m, digest", PINNED_SET_DIGESTS)
+def test_other_parameter_sets_are_pinned(family, parameter_set, n, seed, m, digest):
+    g, _ = _generate(family, parameter_set, n, seed)
+    assert g.m == m
+    assert hashlib.sha256(serialize_edge_list(g).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "make",
-    [
-        lambda: gen_erdos_renyi(-1, 0, 0),
-        lambda: gen_erdos_renyi(-2, 3, 0),
-        lambda: gen_watts_strogatz(-1, -2, 0.5, 0),
-        lambda: gen_uniform_digraph(-1, 0.5, 0),
-    ],
+    [lambda s: gen_barabasi_albert(500, 50, s), lambda s: gen_watts_strogatz(1000, 4, 0.2, s)],
+    ids=["BA", "WS"],
 )
-def test_negative_node_counts_that_pass_the_checks_are_refused(make):
-    with pytest.raises(ValueError, match="node count must be >= 0, got -"):
-        make()
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generation_peaks_below_twice_the_graph(make, seed):
+    # No list of edge tuples is kept: the edges stream into the builder, and
+    # BA's degree list is freed once read, WS's edge-key set before the build.
+    g, peak = traced_peak(lambda: make(seed))
+    assert peak < 2 * graph_bytes(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_er_build_peaks_below_twice_the_graph(monkeypatch, seed):
+    # The draw peaks in random.sample's own selection set, about 2.4x this
+    # graph, which the generator cannot shrink without changing its graphs.
+    # The bound holds from the moment the sampled pairs stream into the build.
+    build = Digraph._build
+
+    def reset_peak_then_build(cls, n, pairs):
+        tracemalloc.reset_peak()
+        return build(n, pairs)
+
+    monkeypatch.setattr(Digraph, "_build", classmethod(reset_peak_then_build))
+    g, peak = traced_peak(lambda: gen_erdos_renyi(500, 2500, seed))
+    assert g.m == 2500
+    assert peak < 2 * graph_bytes(g)

@@ -17,6 +17,7 @@ from sccd.oracles import scc_kosaraju
 from sccd.stats import graph_stats
 
 from conftest import PAIR_CHAIN_TEXT, complete5, edge_list_text, edge_set, pair_chain, tree9
+from memory import traced_peak
 
 
 def test_parse_worked_example_base1():
@@ -163,6 +164,18 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
     for base in (0, 1):
         assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
         assert parse_edge_list("# nodes: 7", base=base) == Digraph.from_edges(7, [])
+
+
+def test_parse_memory_per_node():
+    # One edge among 20,000 nodes, scaled like test_assembly_memory_per_node.
+    # The decoded ids are freed once read, and the builder frees its
+    # out-lists before it makes the in-lists, so each node costs one empty
+    # list, not two, at the peak.
+    n = 20_000
+    text = f"# nodes: {n}\n0 1\n"
+    g, peak = traced_peak(lambda: parse_edge_list(text))
+    assert g.n == n and g.m == 1
+    assert peak < 100 * n
 
 
 def test_adjacency_consistent_with_edges():
