@@ -211,3 +211,17 @@ def test_er_build_peaks_below_twice_the_graph(monkeypatch, seed):
     g, peak = traced_peak(lambda: gen_erdos_renyi(500, 2500, seed))
     assert g.m == 2500
     assert peak < 2 * graph_bytes(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_erdos_renyi(-1, 0, 0),
+        lambda: gen_erdos_renyi(-2, 3, 0),
+        lambda: gen_watts_strogatz(-1, -2, 0.5, 0),
+        lambda: gen_uniform_digraph(-1, 0.5, 0),
+    ],
+)
+def test_negative_node_counts_that_pass_the_checks_are_refused(make):
+    with pytest.raises(ValueError, match="node count must be >= 0, got -"):
+        make()
