@@ -172,6 +172,7 @@ def _check_and_record(
         finite_diameter=stats.finite_diameter,
         num_sccs=reference.num_components,
         rounds_max=rounds_max,
+        # A per-node-freeze result counts on this read, after the timings.
         element_ops=result.element_ops,
         t_consensus=t_consensus,
         t_kosaraju=t_kosaraju,

@@ -31,13 +31,17 @@ An update in :func:`run` is its merge and one popcount.  A node whose
 size repeated has a complete reach set: it records its peers and round
 count in that update and, in both modes, runs no more; a global-rounds
 result still reports every node as running every round.  The
-element-operation count is summed once per round over the
-previous-round sizes, before the updates run.
+element-operation count, summed once per round over the previous-round
+sizes before the updates run, is made only where it is read.  A
+global-rounds run counts in its rounds, an O(n) sum per round.  A
+per-node-freeze run skips the count, which would walk the live nodes'
+in-lists a second time, and runs its rounds once more, counting, the
+first time its ``element_ops`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -96,18 +100,33 @@ class RunResult:
     """Final masks, round counts and the optional full history.
 
     Bit ``i`` of a node's masks is the ``i``-th node of its weakly connected component.
+    ``graph`` and ``mode`` are the run's input, kept so that ``element_ops`` can
+    replay the rounds; ``counted`` is the count made in the rounds, or None when
+    they ran without it.  None of the three takes part in comparison or repr.
     """
 
     rounds_per_node: tuple[int, ...]
-    element_ops: int
     components: tuple[tuple[NodeId, ...], ...]
     reach: tuple[int, ...]
     peers: tuple[int, ...]
     history: tuple[RoundSnapshot, ...] | None = None
+    graph: Digraph | None = field(default=None, compare=False, repr=False)
+    mode: Mode = field(default=Mode.PER_NODE_FREEZE, compare=False, repr=False)
+    counted: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.rounds_per_node)
+
+    @cached_property
+    def element_ops(self) -> int:
+        """Previous-round sizes read by the updates, summed over the rounds (see :func:`run`).
+
+        A run that did not count replays its rounds, counting, on first read.
+        """
+        if self.counted is not None:
+            return self.counted
+        return _run(self.graph, self.mode, False, True).counted
 
     @cached_property
     def final(self) -> RoundSnapshot:
@@ -152,10 +171,18 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     per round, the previous-round sizes each update reads: its own and
     its in-neighbours', over the live nodes in per-node-freeze mode, and
     each node's size times one plus its out-degree in global-rounds mode,
-    which is that variant's modeled work, not the merges run.  Raises
-    :class:`GraphTooLargeError` before allocating masks that could pass
-    :data:`MAX_MASK_BITS` bits, and before a snapshot past :data:`MAX_TRACE_ENTRIES`.
+    which is that variant's modeled work, not the merges run.  Only a
+    global-rounds run counts in its rounds; a per-node-freeze result
+    runs them again, counting and untraced, when ``element_ops`` is
+    first read.  Raises :class:`GraphTooLargeError` before allocating
+    masks that could pass :data:`MAX_MASK_BITS` bits, and before a
+    snapshot past :data:`MAX_TRACE_ENTRIES`.
     """
+    return _run(g, mode, trace, mode is Mode.GLOBAL_ROUNDS)
+
+
+def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
+    """The rounds of :func:`run`; ``count`` sums ``element_ops`` into ``counted``."""
     if g.n < 1:
         raise ValueError("run requires a nonempty graph")
     n = g.n
@@ -206,12 +233,13 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
                 f"no convergence after {round_no - 1} rounds on {n} nodes"
             )
         # Each update reads its own and its in-neighbours' previous-round sizes.
-        if per_node:
-            element_ops += sum(map(get_size, live)) + sum(
-                map(get_size, chain.from_iterable(map(in_adj.__getitem__, live)))
-            )
-        else:
-            element_ops += sum(map(mul, size, weight))
+        if count:
+            if per_node:
+                element_ops += sum(map(get_size, live)) + sum(
+                    map(get_size, chain.from_iterable(map(in_adj.__getitem__, live)))
+                )
+            else:
+                element_ops += sum(map(mul, size, weight))
         # A node whose size repeats settles and records its peers against
         # the previous round's sizes; only the grown ones are written back,
         # after every node has read the previous round.
@@ -264,11 +292,13 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
         rounds = [round_no] * n
     return RunResult(
         rounds_per_node=tuple(rounds),
-        element_ops=element_ops,
         components=comps,
         reach=tuple(reach),
         peers=tuple(peers),
         history=tuple(history) if history is not None else None,
+        graph=g,
+        mode=mode,
+        counted=element_ops if count else None,
     )
 
 

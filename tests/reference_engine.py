@@ -7,7 +7,8 @@ as the paper states the rounds.  It shares no update code with
 round's live nodes are updated; every update reads only the previous
 snapshot, so any order must give the same result.  The returned
 :class:`RunResult` holds the final sets as masks over one component,
-every node ``0..n-1``.
+every node ``0..n-1``, and its own count as ``counted``; it keeps no
+graph, so reading its ``element_ops`` never runs the bitset engine.
 """
 
 from __future__ import annotations
@@ -119,11 +120,12 @@ def reference_run(
         history.append(RoundSnapshot(states))
     return RunResult(
         rounds_per_node=tuple(s.rounds for s in states),
-        element_ops=element_ops,
         components=(tuple(range(n)),),
         reach=tuple(_mask(s.reach) for s in states),
         peers=tuple(_mask(s.peers) for s in states),
         history=tuple(history) if trace else None,
+        mode=mode,
+        counted=element_ops,
     )
 
 

@@ -3,11 +3,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from sccd import bench, stats
+from sccd import bench, engine, stats
 from sccd.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -211,26 +211,40 @@ def test_diameter_benchmark_checks_floyd_warshall(tmp_path):
 
 
 def test_each_record_calls_engine_and_oracles_once_per_timing(monkeypatch):
-    # The warm-up call's result is the one checked: no call beyond the timed
-    # ones.  graph_stats calls no Kosaraju: the record's SCC count comes from
-    # the checked reference partition.
+    # The warm-up call's result is the one checked: no call of run or an
+    # oracle beyond the timed ones.  The rounds run once more, untimed, only
+    # when a per-node-freeze record reads its element_ops from that result;
+    # a global-rounds run counts in its own rounds.  graph_stats calls no
+    # Kosaraju: the record's SCC count comes from the checked reference
+    # partition.
     names = ("run", "scc_kosaraju", "floyd_warshall_diameter")
     calls: Counter = Counter()
     for module, name, key in [(bench, name, name) for name in names] + [
-        (stats, "scc_kosaraju", "stats.scc_kosaraju")
+        (stats, "scc_kosaraju", "stats.scc_kosaraju"), (engine, "_run", "rounds")
     ]:
         def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
             calls[_key] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    records = run_experiment(_tiny_config("BA", parameter_set=2, node_sizes=(60,), replicates=1))
+    cfg = _tiny_config("BA", parameter_set=2, node_sizes=(60,), replicates=1)
+    records = run_experiment(cfg)
     assert len(records) == 1
-    assert calls == {"run": 1 + TIMING_REPS, "scc_kosaraju": 1 + TIMING_REPS}
-    assert calls["stats.scc_kosaraju"] == 0
+    assert calls == {
+        "run": 1 + TIMING_REPS, "scc_kosaraju": 1 + TIMING_REPS, "rounds": 2 + TIMING_REPS,
+    }
+    calls.clear()
+    records = run_experiment(replace(cfg, mode=Mode.GLOBAL_ROUNDS))
+    assert len(records) == 1
+    assert calls == {
+        "run": 1 + TIMING_REPS, "scc_kosaraju": 1 + TIMING_REPS, "rounds": 1 + TIMING_REPS,
+    }
     calls.clear()
     records = diameter_benchmark(seed=1)
-    assert calls == {name: len(records) * (1 + TIMING_REPS) for name in names}
+    assert calls == {
+        **{name: len(records) * (1 + TIMING_REPS) for name in names},
+        "rounds": len(records) * (2 + TIMING_REPS),
+    }
     assert calls["stats.scc_kosaraju"] == 0
 
 

@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
+from sccd import engine
 from sccd.cli import MAX_CHECK_NODES, main
-from sccd.engine import InternalCorrectnessError
+from sccd.engine import InternalCorrectnessError, _run
 from sccd.graphs import MAX_NODES
 
 from conftest import PAIR_CHAIN_TEXT
@@ -261,6 +262,23 @@ def test_untraced_commands_build_no_views(chain_file, tmp_path, capsys, monkeypa
 
     monkeypatch.setattr("sccd.engine.NodeState", no_views)
     assert outputs() == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["scc"], ["diameter"], ["diameter", "--check"], ["trace"]], ids=" ".join
+)
+def test_commands_run_the_rounds_once_without_counting(chain_file, capsys, monkeypatch, argv):
+    # No output of these commands reads element_ops, so a per-node-freeze
+    # run neither counts in its rounds nor replays them to count.
+    counts = []
+
+    def rounds(g, mode, trace, count):
+        counts.append(count)
+        return _run(g, mode, trace, count)
+
+    monkeypatch.setattr(engine, "_run", rounds)
+    assert main([*argv, chain_file, "--base", "1"]) == 0
+    assert counts == [False]
 
 
 def test_bench_diameter_suite_honours_global_rounds(tmp_path, capsys):

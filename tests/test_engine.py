@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from sccd import engine
 from sccd.engine import (
     MAX_MASK_BITS,
     GraphTooLargeError,
@@ -16,6 +17,7 @@ from sccd.engine import (
     finite_diameter_from_run,
     render_result,
     run,
+    _run,
 )
 from sccd.graphs import Digraph, parse_edge_list
 from sccd.oracles import scc_kosaraju
@@ -201,7 +203,6 @@ def test_assemble_rejects_non_nested_peer_sets():
     # as masks over its one component.
     fake = RunResult(
         rounds_per_node=(2, 2, 2),
-        element_ops=0,
         components=((0, 1, 2),),
         reach=(0b011, 0b111, 0b111),
         peers=(0b011, 0b110, 0b000),
@@ -217,7 +218,6 @@ def test_assemble_rejects_overlapping_chosen_sets():
     # as masks over its one component.
     fake = RunResult(
         rounds_per_node=(2, 2, 2),
-        element_ops=0,
         components=((0, 1, 2),),
         reach=(0b111, 0b111, 0b111),
         peers=(0b110, 0b011, 0b000),
@@ -345,6 +345,37 @@ def test_element_ops_counted_and_bounded():
             total += ops
     assert total == result.element_ops
     assert run(g, mode=Mode.GLOBAL_ROUNDS).element_ops >= result.element_ops
+
+
+def test_element_ops_is_counted_once_and_only_when_read(monkeypatch):
+    g = pair_chain()
+    expected = {mode: reference_run(g, mode=mode).element_ops for mode in Mode}
+    results = {mode: run(g, mode=mode) for mode in Mode}
+    counts = []
+
+    def rounds(g, mode, trace, count):
+        counts.append((mode, trace, count))
+        return _run(g, mode, trace, count)
+
+    monkeypatch.setattr(engine, "_run", rounds)
+    for _ in range(2):
+        for mode, result in results.items():
+            assert result.element_ops == expected[mode]
+    # A global-rounds run counted in its rounds; the per-node-freeze result
+    # replayed them once, untraced and counting, and kept the count.
+    assert counts == [(Mode.PER_NODE_FREEZE, False, True)]
+
+
+def test_result_fields_keep_the_graph_out_of_repr_and_comparison():
+    g = pair_chain()
+    for mode in Mode:
+        first, second = run(g, mode=mode), run(pair_chain(), mode=mode)
+        assert first.graph is g and second.graph is not g
+        assert first.mode is mode
+        assert first == second
+        assert "graph" not in repr(first) and "Digraph" not in repr(first)
+        assert "mode" not in repr(first) and "counted" not in repr(first)
+        assert run(g, mode=mode, trace=True) == run(g, mode=mode, trace=True)
 
 
 def test_self_loop_is_harmless():
