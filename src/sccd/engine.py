@@ -30,9 +30,13 @@ built from them only when ``final`` is read or a trace is recorded.
 An update in :func:`run` is its merge and one popcount.  A node whose
 size repeated has a complete reach set: it records its peers and round
 count in that update and, in both modes, runs no more; a global-rounds
-result still reports every node as running every round.  The
-element-operation count, summed once per round over the previous-round
-sizes before the updates run, is made only where it is read.  A
+result still reports every node as running every round.  In a graph of
+one weakly connected component, a node whose reach set holds every node
+cannot grow, so its settling update merges nothing and only takes the
+popcount of its own set.  The element-operation count is the modeled
+count, unchanged by the merges skipped.  Summed once per round over the
+previous-round sizes before the updates run, it is made only where it
+is read.  A
 global-rounds run counts in its rounds, an O(n) sum per round.  A
 per-node-freeze run skips the count, which would walk the live nodes'
 in-lists a second time, and runs its rounds once more, counting, the
@@ -122,7 +126,10 @@ class RunResult:
     def element_ops(self) -> int:
         """Previous-round sizes read by the updates, summed over the rounds (see :func:`run`).
 
-        A run that did not count replays its rounds, counting, on first read.
+        It is the modeled count: a settling update that merged nothing,
+        because its reach set already held every node, counts the sizes
+        of its in-neighbours all the same.  A run that did not count
+        replays its rounds, counting, on first read.
         """
         if self.counted is not None:
             return self.counted
@@ -163,7 +170,13 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
 
     Only the nodes whose reach set grew run in the next round.  A node
     whose size repeats settles, and its update writes its peers, read
-    against the previous round's sizes, and its round count.  In
+    against the previous round's sizes, and its round count.  When the
+    graph is one weakly connected component, a node whose reach set
+    became every node settles in its next update without a merge: after
+    each round's write-back, the nodes that newly reached size n get an
+    empty source list in a per-run copy of ``in_adj``, made the first
+    time one does.  A graph of more than one component runs every
+    settling merge.  In
     global-rounds mode every node's peers are read again after the last
     round, which grew nothing, and every node gets that round's count.
     A trace also records, each round, the grown nodes (every node in
@@ -171,7 +184,8 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     per round, the previous-round sizes each update reads: its own and
     its in-neighbours', over the live nodes in per-node-freeze mode, and
     each node's size times one plus its out-degree in global-rounds mode,
-    which is that variant's modeled work, not the merges run.  Only a
+    which is that variant's modeled work, not the merges run.  In both
+    modes a skipped settling merge is counted as if it ran.  Only a
     global-rounds run counts in its rounds; a per-node-freeze result
     runs them again, counting and untraced, when ``element_ops`` is
     first read.  Raises :class:`GraphTooLargeError` before allocating
@@ -216,6 +230,13 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
     weight = None if per_node else [1 + len(heads) for heads in g.out_adj]
     peers = [0] * n
     rounds = [0] * n
+    # In a one-component graph by_size[n] is the mask of the nodes whose
+    # reach set is every node, so no merge can grow them: each newly
+    # saturated node gets an empty source list in a per-run copy of
+    # in_adj, and its settling update merges nothing.  Its r and s, and so
+    # its peers and round count, are those the merge would give.
+    rows = in_adj
+    saturated = 0 if len(comps) == 1 else None
     views: dict[tuple[int, int], frozenset[int]] = {}
     if trace:
         history = [_snapshot(comps, reach, peers, [False] * n, rounds, False, views)]
@@ -246,7 +267,7 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
         grown = []
         for v in live:
             r = reach[v]
-            for j in in_adj[v]:
+            for j in rows[v]:
                 r |= reach[j]
             s = r.bit_count()
             if s == size[v]:
@@ -278,6 +299,15 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
             by_size[b + s] |= own[v]
             reach[v] = r
             size[v] = s
+        if saturated is not None and by_size[n] != saturated:
+            new = by_size[n] ^ saturated
+            saturated = by_size[n]
+            if rows is in_adj:
+                rows = list(in_adj)
+            while new:
+                v = new.bit_length() - 1
+                rows[v] = ()
+                new ^= 1 << v
         if history is not None:
             # In global-rounds mode the frozen flag latches only on the last round.
             history.append(_snapshot(

@@ -134,27 +134,28 @@ def scc_kosaraju(g: Digraph) -> SccPartition:
     """Exact SCC partition via two iterative depth-first passes.
 
     Iterative on explicit stacks, so arbitrarily deep graphs (e.g. a
-    100k-node path) do not hit the recursion limit.
+    100k-node path) do not hit the recursion limit.  A frame of the first
+    pass keeps its node's iterator over the out-list, so the pass resumes
+    each list where it left off and reads every out-list once.
     """
     if g.n < 1:
         raise ValueError("scc_kosaraju requires a nonempty graph")
     n = g.n
+    out_adj = g.out_adj
     visited = [False] * n
     order: list[int] = []
     for s in range(n):
         if visited[s]:
             continue
         visited[s] = True
-        stack: list[tuple[int, int]] = [(s, 0)]
+        stack: list[tuple[int, Iterator[int]]] = [(s, iter(out_adj[s]))]
         while stack:
-            u, i = stack[-1]
-            adj = g.out_adj[u]
-            while i < len(adj) and visited[adj[i]]:
-                i += 1
-            if i < len(adj):
-                stack[-1] = (u, i + 1)
-                visited[adj[i]] = True
-                stack.append((adj[i], 0))
+            u, heads = stack[-1]
+            for w in heads:
+                if not visited[w]:
+                    visited[w] = True
+                    stack.append((w, iter(out_adj[w])))
+                    break
             else:
                 stack.pop()
                 order.append(u)

@@ -40,6 +40,20 @@ def cycle_with_tail() -> Digraph:
     return Digraph.from_edges(13, edges)
 
 
+class CountingRow(tuple):
+    """An adjacency row that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def counting_rows(rows) -> tuple[CountingRow, ...]:
+    return tuple(map(CountingRow, rows))
+
+
 @pytest.fixture
 def g_pair_chain() -> Digraph:
     return pair_chain()

@@ -3,7 +3,8 @@
 The paper bounds the engine's work by O(D * d_in_max) and estimates it, per
 random family, as the product of the family's expected average degree and
 its expected average path length.  ``tests/test_bench.py`` holds these
-formulas against the merges the engine performs on the benchmark's graphs.
+formulas against the modeled merges (round count × in-degree) on the
+benchmark's graphs.
 """
 
 from __future__ import annotations

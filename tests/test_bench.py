@@ -85,11 +85,12 @@ def test_euler_mascheroni_constant():
 
 
 def _merges_per_node(family: str, parameter_set: int, n: int) -> float:
-    """Mean in-neighbour merges per node of one per-node-freeze run on a bench graph.
+    """Mean modeled merges (round count × in-degree) per node of one per-node-freeze run.
 
     The graph is the first replicate ``sccd bench --seed 1`` builds for the
-    family, set and size; node v runs ``rounds_per_node[v]`` updates of
-    ``len(in_adj[v])`` merges each.
+    family, set and size; node v counts as ``rounds_per_node[v]`` updates
+    of ``len(in_adj[v])`` merges each, a saturated node's skipped settling
+    merge included.
     """
     g, _ = bench._generate(family, parameter_set, n, bench._record_seed(1, parameter_set, n, 0))
     result = run(g)

@@ -19,10 +19,19 @@ from sccd.engine import (
     run,
     _run,
 )
+from sccd.generators import gen_barabasi_albert
 from sccd.graphs import Digraph, parse_edge_list
 from sccd.oracles import scc_kosaraju
 
-from conftest import INF, complete5, cycle_with_tail, distance_rows, pair_chain, tree9
+from conftest import (
+    INF,
+    complete5,
+    counting_rows,
+    cycle_with_tail,
+    distance_rows,
+    pair_chain,
+    tree9,
+)
 from corpus import gen_uniform_digraph
 from reference_engine import init_state, node_round, reference_run, schedules
 from tables import GOLDEN_PAIR_CHAIN
@@ -110,26 +119,73 @@ def test_run_global_rounds_counts():
     assert run(tree9(), mode=Mode.GLOBAL_ROUNDS).rounds_per_node == (4,) * 9
 
 
-class CountingRows(tuple):
-    """An adjacency tuple that counts its row reads."""
+def k5_and_triangle() -> Digraph:
+    """The complete digraph on 0..4 and, disjoint from it, the cycle 5 -> 6 -> 7 -> 5."""
+    edges = [(u, v) for u in range(5) for v in range(5) if u != v]
+    return Digraph.from_edges(8, edges + [(5, 6), (6, 7), (7, 5)])
 
-    reads = 0
 
-    def __getitem__(self, v):
-        self.reads += 1
-        return super().__getitem__(v)
+def merge_count(g: Digraph, mode: Mode) -> tuple[RunResult, int]:
+    """The result of running ``g`` and the in-row merges its rounds made.
+
+    The rows count their iterations.  The weak-component search that
+    precedes the rounds iterates them too, as often on every call, so
+    one search is run alone first and its count taken off twice.
+    """
+    rows = counting_rows(g.in_adj)
+    counted = Digraph(n=g.n, in_adj=rows, out_adj=g.out_adj)
+    engine._weak_components(counted)
+    searched = sum(row.iterations for row in rows)
+    result = run(counted, mode=mode)
+    return result, sum(row.iterations for row in rows) - 2 * searched
 
 
 def test_global_rounds_merges_only_grown_nodes():
-    # On the path 0 -> 1 -> ... -> 59 node v grows in rounds 1..v, so a
-    # settled node's in-row need not be read again: re-merging every node
-    # in all 60 rounds would read 3,600 rows.
+    # On the path 0 -> 1 -> ... -> 59 node v grows in rounds 1..v and
+    # settles in round v + 1, its per-node-freeze round count, so only
+    # those rounds merge its in-row: re-merging every node in all 60
+    # rounds would take 3,600 merges.  Node 59 holds every node once it
+    # grows in round 59, so its settling update merges nothing.
     n = 60
     path = Digraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-    in_adj = CountingRows(path.in_adj)
-    result = run(Digraph(n=n, in_adj=in_adj, out_adj=path.out_adj), mode=Mode.GLOBAL_ROUNDS)
+    result, merges = merge_count(path, Mode.GLOBAL_ROUNDS)
     assert result.rounds_per_node == (n,) * n
-    assert in_adj.reads < n * n
+    assert merges == sum(run(path).rounds_per_node) - 1
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_saturated_nodes_skip_their_settling_merge(mode):
+    # Round 1 gives every node of K5 all five nodes, so round 2, which
+    # settles them, merges no row: 5 merges, not 10.
+    result, merges = merge_count(complete5(), mode)
+    assert result.rounds_per_node == (2,) * 5
+    assert merges == 5
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_graphs_of_several_components_run_every_settling_merge(mode):
+    # No reach set can hold every node of a graph of two weak components,
+    # so each node merges in every round it runs, settling one included:
+    # 2 rounds for each node of K5 and 3 for each node of the cycle.
+    g = k5_and_triangle()
+    _, merges = merge_count(g, mode)
+    assert merges == sum(run(g).rounds_per_node) == 19
+
+
+@pytest.mark.parametrize(
+    "make", [complete5, k5_and_triangle, lambda: gen_barabasi_albert(40, 8, 3)],
+    ids=["complete5", "k5_and_triangle", "ba_40_8"],
+)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_skipped_merges_change_no_result(make, mode):
+    g = make()
+    ref = reference_run(g, mode=mode, trace=True)
+    traced = run(g, mode=mode, trace=True)
+    assert traced.history == ref.history
+    for result in (traced, run(g, mode=mode)):
+        assert result.final == ref.final
+        assert result.rounds_per_node == ref.rounds_per_node
+        assert result.element_ops == ref.element_ops
 
 
 def test_run_single_node_and_edgeless():

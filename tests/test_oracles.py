@@ -16,6 +16,7 @@ from conftest import (
     brute_force_sccs,
     complete5,
     condensation_is_acyclic,
+    counting_rows,
     cycle_with_tail,
     distance_rows,
     pair_chain,
@@ -46,6 +47,19 @@ def test_kosaraju_matches_brute_force_on_random_sweep():
                 assert scc_kosaraju(g) == brute_force_sccs(g)
                 checked += 1
     assert checked >= 1000
+
+
+@pytest.mark.parametrize(
+    "make", [pair_chain, complete5, tree9, cycle_with_tail, lambda: gen_uniform_digraph(30, 0.1, 1)],
+    ids=["pair_chain", "complete5", "tree9", "cycle_with_tail", "uniform_30"],
+)
+def test_kosaraju_iterates_each_out_list_once_per_call(make):
+    g = make()
+    rows = counting_rows(g.out_adj)
+    counted = Digraph(n=g.n, in_adj=g.in_adj, out_adj=rows)
+    for calls in (1, 2):
+        assert scc_kosaraju(counted) == scc_kosaraju(g)
+        assert [row.iterations for row in rows] == [calls] * g.n
 
 
 def test_kosaraju_deep_path_no_recursion_limit():
