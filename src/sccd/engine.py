@@ -50,7 +50,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Digraph, NodeId
 from .partition import SccPartition
@@ -333,16 +333,22 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
 
 
 def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
-    """Weakly connected components, each sorted, in order of smallest node."""
+    """Weakly connected components, each sorted, in order of smallest node.
+
+    The search from a node stops once its component holds every node
+    that no earlier component took, so a one-component graph expands
+    every frontier but the last.
+    """
     in_adj, out_adj = g.in_adj, g.out_adj
     seen = bytearray(g.n)
     comps = []
+    left = g.n  # nodes in no component yet
     for v in range(g.n):
         if seen[v]:
             continue
         comp = {v}
         frontier = [v]
-        while frontier:
+        while frontier and len(comp) < left:
             nxt = set(chain.from_iterable(map(in_adj.__getitem__, frontier)))
             nxt.update(chain.from_iterable(map(out_adj.__getitem__, frontier)))
             nxt -= comp
@@ -352,6 +358,7 @@ def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
         for u in nodes:
             seen[u] = 1
         comps.append(nodes)
+        left -= len(nodes)
     return tuple(comps)
 
 
@@ -388,31 +395,34 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _members(mask: int, nodes: Sequence[NodeId], views: dict) -> frozenset[int]:
-    """The nodes ``nodes[i]`` for the set bits ``i`` of ``mask``, shared through ``views``.
+    """The nodes ``nodes[i]`` for the set bits ``i`` of ``mask``, shared through ``views``."""
+    key = (nodes[0], mask)
+    members = views.get(key)
+    if members is None:
+        members = views[key] = frozenset(_ids(mask, nodes))
+    return members
+
+
+def _ids(mask: int, nodes: Sequence[NodeId]) -> Iterable[NodeId]:
+    """The nodes ``nodes[i]`` for the set bits ``i`` of ``mask``, in no fixed order.
 
     A mask with few set bits for its width is read bit by bit from the
     top, so the cost follows the set size; a denser one is read from its
     binary digits in one pass.
     """
-    key = (nodes[0], mask)
-    members = views.get(key)
-    if members is None:
-        if mask.bit_count() * 8 < mask.bit_length():
-            ids = []
-            while mask:
-                i = mask.bit_length() - 1
-                ids.append(nodes[i])
-                mask ^= 1 << i
-            members = frozenset(ids)
-        else:
-            bits = format(mask, "b")[::-1].encode().translate(_BIT_VALUES)
-            members = frozenset(compress(nodes, bits))
-        views[key] = members
-    return members
+    if mask.bit_count() * 8 < mask.bit_length():
+        ids = []
+        while mask:
+            i = mask.bit_length() - 1
+            ids.append(nodes[i])
+            mask ^= 1 << i
+        return ids
+    bits = format(mask, "b")[::-1].encode().translate(_BIT_VALUES)
+    return compress(nodes, bits)
 
 
 def assemble_partition(result: RunResult) -> SccPartition:
-    """Combine final peer sets into the component partition.
+    """Combine the final peer masks into the component partition.
 
     Each node takes the label of the largest peer set it appears in, or
     keeps a label of its own.  Under per-node freezing a node may have
@@ -420,34 +430,39 @@ def assemble_partition(result: RunResult) -> SccPartition:
     that stabilized last holds the complete set, so the largest
     candidate is the true component.
 
-    A correct run leaves every peer set with one label.  That one check
-    covers both faults: it fails exactly when two chosen sets overlap,
-    or when a peer set is not nested in the set its smallest member
-    joins.
+    Within each weak component the distinct peer masks with two or more
+    bits set are taken largest first.  A mask disjoint from the ones
+    chosen so far is chosen: it gets the next label, and only its
+    members are decoded.  A correct run leaves every other mask inside
+    the chosen set that its lowest bit joined, and that one check fails
+    exactly when a peer set is not nested in a chosen set or two chosen
+    sets would overlap.  No set is built per peer mask, and a one-node
+    component, which has no such mask, costs nothing but its label.
     """
     n = result.n
-    # A one-node peer set {w} changes no label, so only distinct masks
-    # with two or more bits set are turned into sets; a one-node
-    # component has none.  Components are disjoint, so their sets are too.
-    peers, views = result.peers, {}
-    peer_sets = [
-        _members(mask, nodes, views)
-        for nodes in result.components
-        if len(nodes) > 1
-        for mask in dict.fromkeys(peers[v] for v in nodes)
-        if mask & (mask - 1)
-    ]
-    # Node v's own label is v; peer set i has label n + i.  Larger sets
-    # are applied later, so each node ends with the largest that holds it.
+    peers = result.peers
+    # Node v's own label is v; the i-th chosen mask, chosen[i], has label n + i.
     label = list(range(n))
-    for i, p in sorted(enumerate(peer_sets, n), key=lambda ip: len(ip[1])):
-        for v in p:
-            label[v] = i
-    for p in peer_sets:
-        if len({label[v] for v in p}) > 1:
-            raise InternalCorrectnessError(
-                f"peer set {sorted(p)} overlaps more than one chosen set"
-            )
+    chosen = []
+    for nodes in result.components:
+        if len(nodes) < 2:
+            continue
+        masks = [p for p in dict.fromkeys(peers[v] for v in nodes) if p & (p - 1)]
+        masks.sort(key=int.bit_count, reverse=True)
+        covered = 0
+        for p in masks:
+            if not p & covered:
+                i = n + len(chosen)
+                for v in _ids(p, nodes):
+                    label[v] = i
+                chosen.append(p)
+                covered |= p
+                continue
+            i = label[nodes[(p & -p).bit_length() - 1]]
+            if i < n or p & chosen[i - n] != p:
+                raise InternalCorrectnessError(
+                    f"peer set {sorted(_ids(p, nodes))} overlaps more than one chosen set"
+                )
     return SccPartition.from_labels(label)
 
 

@@ -9,6 +9,9 @@ snapshot, so any order must give the same result.  The returned
 :class:`RunResult` holds the final sets as masks over one component,
 every node ``0..n-1``, and its own count as ``counted``; it keeps no
 graph, so reading its ``element_ops`` never runs the bitset engine.
+:func:`reference_assemble` builds the partition from one frozenset per
+peer mask; :func:`sccd.engine.assemble_partition`, which builds none, is
+checked against it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import random
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from sccd.engine import Mode, NodeState, RoundSnapshot, RunResult
+from sccd.engine import InternalCorrectnessError, Mode, NodeState, RoundSnapshot, RunResult
 from sccd.graphs import Digraph, NodeId
+from sccd.partition import SccPartition
 
 Order = Callable[[list[int]], Sequence[int]]
 
@@ -131,3 +135,29 @@ def reference_run(
 
 def _mask(ids: frozenset[int]) -> int:
     return sum(1 << v for v in ids)
+
+
+def reference_assemble(result: RunResult) -> SccPartition:
+    """The partition from frozensets of the distinct multi-node peer sets.
+
+    Sets are applied smallest first, so each node ends with the label
+    of the largest set that holds it; a peer set whose members end with
+    more than one label raises :class:`InternalCorrectnessError`.
+    """
+    n = result.n
+    peer_sets = [
+        frozenset(v for i, v in enumerate(nodes) if mask >> i & 1)
+        for nodes in result.components
+        for mask in dict.fromkeys(result.peers[v] for v in nodes)
+        if mask & (mask - 1)
+    ]
+    label = list(range(n))
+    for i, p in sorted(enumerate(peer_sets, n), key=lambda ip: len(ip[1])):
+        for v in p:
+            label[v] = i
+    for p in peer_sets:
+        if len({label[v] for v in p}) > 1:
+            raise InternalCorrectnessError(
+                f"peer set {sorted(p)} overlaps more than one chosen set"
+            )
+    return SccPartition.from_labels(label)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -19,7 +20,7 @@ from sccd.engine import (
     run,
     _run,
 )
-from sccd.generators import gen_barabasi_albert
+from sccd.generators import gen_barabasi_albert, gen_watts_strogatz
 from sccd.graphs import Digraph, parse_edge_list
 from sccd.oracles import scc_kosaraju
 
@@ -298,6 +299,47 @@ def test_assembly_memory_per_node():
     assert partition.num_components == n
     assert peak < 256 * n
     assert held < 64 * n
+
+
+def test_assembly_memory_with_partial_peer_sets():
+    # Per-node freezing on a Watts-Strogatz graph leaves many peer sets
+    # that are strict subsets of their component.  Assembly decodes only
+    # the chosen sets' members and builds no set per peer mask; one
+    # frozenset per distinct mask would take about 700 bytes per node.
+    n = 1000
+    result = run(gen_watts_strogatz(n, 4, 0.2, 1))
+    tracemalloc.start()
+    try:
+        partition = assemble_partition(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    multi = sum(len(c) > 1 for c in partition.components)
+    assert len({p for p in result.peers if p & (p - 1)}) > multi
+    assert partition == scc_kosaraju(result.graph)
+    assert peak < 128 * n
+
+
+@pytest.mark.parametrize(
+    "g", [complete5(), gen_barabasi_albert(40, 3, 1)], ids=["complete5", "ba40"]
+)
+def test_weak_components_skip_the_last_frontier(g):
+    # Breadth-first layers from node 0 over both edge directions.  Once
+    # the last layer is found the component holds every node, so the
+    # search reads the in- and out-rows of every node but the last layer's.
+    layers, seen = [[0]], {0}
+    while True:
+        nxt = {u for v in layers[-1] for u in chain(g.in_adj[v], g.out_adj[v])} - seen
+        if not nxt:
+            break
+        seen |= nxt
+        layers.append(nxt)
+    assert len(seen) == g.n and len(layers) > 1
+    in_rows, out_rows = counting_rows(g.in_adj), counting_rows(g.out_adj)
+    comps = engine._weak_components(Digraph(n=g.n, in_adj=in_rows, out_adj=out_rows))
+    assert comps == (tuple(range(g.n)),)
+    read = sum(row.iterations for row in in_rows + out_rows)
+    assert read == 2 * (g.n - len(layers[-1]))
 
 
 def test_reach_sets_exact_at_freeze():

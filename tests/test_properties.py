@@ -4,7 +4,8 @@ Each drawn graph is checked in both modes against the reference engine
 (traced and untraced runs), Kosaraju, the brute-force construction and
 BFS distances.  The three diameter oracles are checked against each
 other, on dense and on strongly connected graphs too.
-Partition labels are checked to be canonical on drawn label lists.
+Partition labels are checked to be canonical on drawn label lists, and
+mask assembly against the frozenset reference on drawn peer masks.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
 against adjacency built by hand from the drawn pairs.  Its bulk path is
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sccd.engine import Mode, assemble_partition, run
+from sccd.engine import InternalCorrectnessError, Mode, RunResult, assemble_partition, run
 from sccd.graphs import (
     MAX_NODES,
     Digraph,
@@ -38,7 +39,7 @@ from sccd.oracles import (
 )
 
 from conftest import INF, brute_force_sccs, distance_rows, edge_list_text, edge_set
-from reference_engine import reference_run
+from reference_engine import reference_assemble, reference_run
 
 MAX_N = 40
 
@@ -310,6 +311,51 @@ def test_partition_equals_kosaraju_and_brute_force(g):
     assert brute_force_sccs(g) == reference
     for mode in Mode:
         assert assemble_partition(run(g, mode=mode)) == reference, mode
+
+
+@st.composite
+def peer_vectors(draw) -> RunResult:
+    """Peer masks on 1-3 components of up to 7 nodes, ids shuffled.
+
+    Each component's bits are split into up to three blocks.  A node's
+    mask is any mask over its component, a part of its own block, the
+    whole block or the whole component, so both nested and crossing
+    peer sets are drawn.
+    """
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    comps, peers = [], [0] * n
+    for start, c in zip(accumulate([0] + sizes), sizes):
+        nodes = tuple(sorted(ids[start:start + c]))
+        comps.append(nodes)
+        block = draw(st.lists(st.integers(0, 2), min_size=c, max_size=c))
+        for i, v in enumerate(nodes):
+            own = sum(1 << j for j in range(c) if block[j] == block[i])
+            any_mask = draw(st.integers(0, (1 << c) - 1))
+            peers[v] = draw(st.sampled_from((any_mask, any_mask & own, own, (1 << c) - 1)))
+    return RunResult(
+        rounds_per_node=(1,) * n,
+        components=tuple(sorted(comps)),
+        reach=(0,) * n,
+        peers=tuple(peers),
+    )
+
+
+def assemble_outcome(assemble, result: RunResult):
+    """The partition, or None when the peer masks are rejected."""
+    try:
+        return assemble(result)
+    except InternalCorrectnessError:
+        return None
+
+
+@CHECKED
+@given(peer_vectors())
+def test_mask_assembly_equals_frozenset_reference(result):
+    assert assemble_outcome(assemble_partition, result) == assemble_outcome(
+        reference_assemble, result
+    )
 
 
 @CHECKED
