@@ -4,9 +4,11 @@ Subcommands: ``scc`` (component decomposition), ``diameter``, ``trace``
 (round-by-round table), ``gen`` (write a random graph as an edge list)
 and ``bench`` (experiment harness emitting CSV).  Exit codes: 0 on
 success, 2 on input or parameter errors (including a graph too large for
-the engine's memory limit), 3 when an internal correctness check fails
-or the engine raises on input that passed validation; an exit-3 message
-names the engine mode, so that it reproduces the failing run.
+the engine's mask limit, or a trace past its character limit), 3 when an
+internal correctness check fails or the engine raises on input that
+passed validation; an exit-3 message names the engine mode, so that it
+reproduces the failing run.  ``trace`` writes each round as it ends, so
+on exit 2 or 3 its output holds the whole rounds written before.
 """
 
 from __future__ import annotations
@@ -102,9 +104,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if g.n == 0:
         return EXIT_OK
     with _engine_faults():
-        result = run(g, mode=args.mode, trace=True)
-        text = trace_table(result, base=args.base)
-    sys.stdout.write(text)
+        trace_table(g, args.mode, sys.stdout, args.base)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ Within a round every update is a pure function of the previous-round
 state, so the order in which a round's updates run cannot change the
 result.  :func:`run` computes the updates on int bitsets, and its
 :class:`RunResult` keeps those masks; :class:`NodeState` views are
-built from them only when ``final`` is read or a trace is recorded.
+built from them only when ``final`` is read.
 
 An update in :func:`run` is its merge and one popcount.  A node whose
 size repeated has a complete reach set: it records its peers and round
@@ -33,24 +33,25 @@ count in that update and, in both modes, runs no more; a global-rounds
 result still reports every node as running every round.  In a graph of
 one weakly connected component, a node whose reach set holds every node
 cannot grow, so its settling update merges nothing and only takes the
-popcount of its own set.  The element-operation count is the modeled
-count, unchanged by the merges skipped.  Summed once per round over the
-previous-round sizes before the updates run, it is made only where it
-is read.  A
-global-rounds run counts in its rounds, an O(n) sum per round.  A
-per-node-freeze run skips the count, which would walk the live nodes'
-in-lists a second time, and runs its rounds once more, counting, the
-first time its ``element_ops`` is read.
+popcount of its own set.
+
+The rounds call one optional observer per round, after the updates and
+before their write-back.  One observer sums the element-operation count,
+the modeled count, unchanged by the merges skipped: a global-rounds run
+counts in its rounds, and a per-node-freeze run, whose count would walk
+the live nodes' in-lists again, replays its rounds, counting, the first
+time its ``element_ops`` is read.  The other, in :func:`trace_table`,
+writes each round's rows as the round ends, so no round's states are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .graphs import Digraph, NodeId
 from .partition import SccPartition
@@ -61,7 +62,7 @@ class InternalCorrectnessError(RuntimeError):
 
 
 class GraphTooLargeError(ValueError):
-    """The run would pass :data:`MAX_MASK_BITS` or its trace :data:`MAX_TRACE_ENTRIES`."""
+    """The run would pass :data:`MAX_MASK_BITS`, or its trace :data:`MAX_TRACE_CHARS`."""
 
 
 class Mode(Enum):
@@ -101,7 +102,7 @@ class RoundSnapshot:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final masks, round counts and the optional full history.
+    """Final masks and round counts.
 
     Bit ``i`` of a node's masks is the ``i``-th node of its weakly connected component.
     ``graph`` and ``mode`` are the run's input, kept so that ``element_ops`` can
@@ -113,7 +114,6 @@ class RunResult:
     components: tuple[tuple[NodeId, ...], ...]
     reach: tuple[int, ...]
     peers: tuple[int, ...]
-    history: tuple[RoundSnapshot, ...] | None = None
     graph: Digraph | None = field(default=None, compare=False, repr=False)
     mode: Mode = field(default=Mode.PER_NODE_FREEZE, compare=False, repr=False)
     counted: int | None = field(default=None, compare=False, repr=False)
@@ -133,15 +133,26 @@ class RunResult:
         """
         if self.counted is not None:
             return self.counted
-        return _run(self.graph, self.mode, False, True).counted
+        count = _ElementOps(self.graph, self.mode)
+        _run(self.graph, self.mode, count)
+        return count.total
 
     @cached_property
     def final(self) -> RoundSnapshot:
-        """Every node's last state; each is stable and frozen."""
-        return _snapshot(
-            self.components, self.reach, self.peers, (True,) * self.n, self.rounds_per_node,
-            True, {},
-        )
+        """Every node's last state, stable and frozen; equal masks share one frozenset."""
+        states: list = [None] * self.n
+        views: dict = {}
+        for nodes in self.components:
+            for v in nodes:
+                states[v] = NodeState(
+                    reach=_members(self.reach[v], nodes, views),
+                    max_size=self.reach[v].bit_count(),
+                    peers=_members(self.peers[v], nodes, views),
+                    stable=True,
+                    rounds=self.rounds_per_node[v],
+                    frozen=True,
+                )
+        return RoundSnapshot(tuple(states))
 
 
 # Bit ids are local to a weakly connected component, so a component of c
@@ -149,24 +160,19 @@ class RunResult:
 # together may need at most this many (512 MiB).
 MAX_MASK_BITS = 1 << 32
 
-# Entries a trace may keep: 3 per NodeState, one per node per round (~150 B),
-# and 1 per member of each new reach set (~60 B with its peer set).  A round
-# shares the states of the nodes that did not run, so the count is an upper
-# bound.  Worst refusal measured: a 1,000-node cycle at 601 MiB RSS (x86_64,
-# Python 3.11).
-MAX_TRACE_ENTRIES = 1 << 23
+# Characters a trace may write.  The table grows with nodes times rounds: a
+# 300-node cycle's (51 MB) is written, a 1,000-node cycle's (2 GB) refused.
+MAX_TRACE_CHARS = 1 << 27
 
 
-def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> RunResult:
+def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
     """Execute rounds until every node has stabilized.
 
     The state lives in flat per-node lists: reach and peer sets are int
     bitsets, merged with ``|`` and sized with ``int.bit_count``.  No path
     crosses between weakly connected components, so bit ``i`` of a mask
     stands for the ``i``-th smallest node of the owner's component, and a
-    mask is never wider than that component.  The result keeps the final
-    masks; ``trace`` adds one :class:`NodeState` snapshot per round
-    (round 0 is the initial state).
+    mask is never wider than that component.
 
     Only the nodes whose reach set grew run in the next round.  A node
     whose size repeats settles, and its update writes its peers, read
@@ -175,28 +181,28 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, trace: bool = False) -> R
     became every node settles in its next update without a merge: after
     each round's write-back, the nodes that newly reached size n get an
     empty source list in a per-run copy of ``in_adj``, made the first
-    time one does.  A graph of more than one component runs every
-    settling merge.  In
-    global-rounds mode every node's peers are read again after the last
-    round, which grew nothing, and every node gets that round's count.
-    A trace also records, each round, the grown nodes (every node in
-    global-rounds mode) before the write-back.  ``element_ops`` adds,
-    per round, the previous-round sizes each update reads: its own and
-    its in-neighbours', over the live nodes in per-node-freeze mode, and
-    each node's size times one plus its out-degree in global-rounds mode,
-    which is that variant's modeled work, not the merges run.  In both
-    modes a skipped settling merge is counted as if it ran.  Only a
-    global-rounds run counts in its rounds; a per-node-freeze result
-    runs them again, counting and untraced, when ``element_ops`` is
-    first read.  Raises :class:`GraphTooLargeError` before allocating
-    masks that could pass :data:`MAX_MASK_BITS` bits, and before a
-    snapshot past :data:`MAX_TRACE_ENTRIES`.
+    time one does.  In global-rounds mode every node's peers are read
+    again after the last round, which grew nothing, and every node gets
+    that round's count; the rounds also count ``element_ops``
+    (:class:`_ElementOps`).  Raises :class:`GraphTooLargeError` before
+    allocating masks that could pass :data:`MAX_MASK_BITS` bits.
     """
-    return _run(g, mode, trace, mode is Mode.GLOBAL_ROUNDS)
+    if mode is Mode.PER_NODE_FREEZE:
+        return _run(g, mode)
+    count = _ElementOps(g, mode)
+    return replace(_run(g, mode, count), counted=count.total)
 
 
-def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
-    """The rounds of :func:`run`; ``count`` sums ``element_ops`` into ``counted``."""
+def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> RunResult:
+    """The rounds of :func:`run`, calling ``observe`` once per round.
+
+    ``observe(live, grown, size, reach, by_size, offset)`` runs after the
+    round's updates and before their write-back: ``live`` are the nodes
+    updated, ``grown`` the ``(v, r, s)`` of those whose reach set grew to
+    ``r`` of size ``s``, and ``size``, ``reach`` and ``by_size`` still
+    hold the previous round.  Node ``v``'s sizes index ``by_size`` from
+    ``offset[v]``.  The observer must not change them.
+    """
     if g.n < 1:
         raise ValueError("run requires a nonempty graph")
     n = g.n
@@ -224,10 +230,6 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
         offset += len(nodes) + 1
     reach = own[:]
     size = [1] * n  # max_size, which always equals the size of the reach set
-    get_size = size.__getitem__
-    # A global round counts every node as updating, so node j's size is
-    # read once for itself and once per out-neighbour.
-    weight = None if per_node else [1 + len(heads) for heads in g.out_adj]
     peers = [0] * n
     rounds = [0] * n
     # In a one-component graph by_size[n] is the mask of the nodes whose
@@ -237,13 +239,6 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
     # its peers and round count, are those the merge would give.
     rows = in_adj
     saturated = 0 if len(comps) == 1 else None
-    views: dict[tuple[int, int], frozenset[int]] = {}
-    if trace:
-        history = [_snapshot(comps, reach, peers, [False] * n, rounds, False, views)]
-        entries = 4 * n
-    else:
-        history = None
-    element_ops = 0
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
     round_no = 0
     live = list(range(n))
@@ -253,14 +248,6 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
             raise InternalCorrectnessError(
                 f"no convergence after {round_no - 1} rounds on {n} nodes"
             )
-        # Each update reads its own and its in-neighbours' previous-round sizes.
-        if count:
-            if per_node:
-                element_ops += sum(map(get_size, live)) + sum(
-                    map(get_size, chain.from_iterable(map(in_adj.__getitem__, live)))
-                )
-            else:
-                element_ops += sum(map(mul, size, weight))
         # A node whose size repeats settles and records its peers against
         # the previous round's sizes; only the grown ones are written back,
         # after every node has read the previous round.
@@ -275,24 +262,8 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
                 rounds[v] = round_no
             else:
                 grown.append((v, r, s))
-        if history is not None:
-            entries += 3 * n + sum(s for _, _, s in grown)
-            if entries > MAX_TRACE_ENTRIES:
-                raise GraphTooLargeError(
-                    f"the trace of this graph passes the limit of {MAX_TRACE_ENTRIES} "
-                    f"entries in round {round_no}"
-                )
-            # The grown nodes, or every node in global-rounds mode, are
-            # recorded against by_size before the write-back.
-            if not per_node:
-                for v in range(n):
-                    peers[v] = reach[v] & by_size[base[v] + size[v]]
-                    rounds[v] = round_no
-            stable = [True] * n
-            for v, r, s in grown:
-                peers[v] = r & by_size[base[v] + s]
-                rounds[v] = round_no
-                stable[v] = False
+        if observe is not None:
+            observe(live, grown, size, reach, by_size, base)
         for v, r, s in grown:
             b = base[v]
             by_size[b + size[v]] ^= own[v]
@@ -308,12 +279,6 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
                 v = new.bit_length() - 1
                 rows[v] = ()
                 new ^= 1 << v
-        if history is not None:
-            # In global-rounds mode the frozen flag latches only on the last round.
-            history.append(_snapshot(
-                comps, reach, peers, stable, rounds, per_node or not grown, views,
-                history[-1].states,
-            ))
         live = [v for v, _, _ in grown]
     if not per_node:
         # Every node counts as executing every round; its last round read
@@ -325,11 +290,34 @@ def _run(g: Digraph, mode: Mode, trace: bool, count: bool) -> RunResult:
         components=comps,
         reach=tuple(reach),
         peers=tuple(peers),
-        history=tuple(history) if history is not None else None,
         graph=g,
         mode=mode,
-        counted=element_ops if count else None,
     )
+
+
+class _ElementOps:
+    """Observer of :func:`_run` that sums ``element_ops`` into ``total``.
+
+    Per round it adds the previous-round sizes each update reads: its own
+    and its in-neighbours', over the live nodes in per-node-freeze mode,
+    and each node's size times one plus its out-degree in global-rounds
+    mode, which is that variant's modeled work, not the merges run.  A
+    skipped settling merge is counted as if it ran.
+    """
+
+    def __init__(self, g: Digraph, mode: Mode) -> None:
+        self.in_adj = g.in_adj
+        self.weight = None if mode is Mode.PER_NODE_FREEZE else [1 + len(h) for h in g.out_adj]
+        self.total = 0
+
+    def __call__(self, live: list, grown: list, size: list, *_: list) -> None:
+        if self.weight is None:
+            get_size = size.__getitem__
+            self.total += sum(map(get_size, live)) + sum(
+                map(get_size, chain.from_iterable(map(self.in_adj.__getitem__, live)))
+            )
+        else:
+            self.total += sum(map(mul, size, self.weight))
 
 
 def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
@@ -360,35 +348,6 @@ def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
         comps.append(nodes)
         left -= len(nodes)
     return tuple(comps)
-
-
-def _snapshot(
-    comps: Sequence[Sequence[NodeId]], reach: Sequence[int], peers: Sequence[int],
-    stable: Sequence[bool], rounds: Sequence[int], latched: bool, views: dict,
-    prev: Sequence[NodeState] = (),
-) -> RoundSnapshot:
-    """:class:`NodeState` views of per-node masks, one frozenset per distinct mask.
-
-    A stable node is frozen in per-node-freeze mode, and in global-rounds
-    mode only once every node is stable (``latched``).  A node's max size
-    is the size of its reach set.  A node whose round count is the one it
-    has in ``prev``, the previous round's states, did not run, so its
-    state there is shared.
-    """
-    states = list(prev) or [None] * len(reach)
-    for nodes in comps:
-        for v in nodes:
-            if prev and prev[v].rounds == rounds[v]:
-                continue
-            states[v] = NodeState(
-                reach=_members(reach[v], nodes, views),
-                max_size=reach[v].bit_count(),
-                peers=_members(peers[v], nodes, views),
-                stable=stable[v],
-                rounds=rounds[v],
-                frozen=stable[v] and latched,
-            )
-    return RoundSnapshot(tuple(states))
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -476,29 +435,69 @@ def finite_diameter_from_run(result: RunResult) -> int:
     return max(result.rounds_per_node) - 1
 
 
-def trace_table(result: RunResult, base: int = 0) -> str:
-    """Render the recorded history as a tab-separated table.
+def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
+    """Write the round-by-round table of ``g``'s run to ``out`` as each round ends.
 
-    One block of four rows per round, labeled with the compact
-    parameter names x (reach), y (max_size), z (peers) and w (stable);
-    one column per node; sets in ascending id order.  ``base`` shifts
-    displayed ids for graphs that were read from 1-based input.
+    One block of four rows per round, labeled x (reach), y (max_size),
+    z (peers) and w (stable); one column per node; sets in ascending id
+    order, shifted by ``base`` for 1-based input.  Each cell is rendered
+    again only when it changed: x and y when the node grew, z when its
+    peers, read against the previous round's sizes, differ from the last
+    written.  Raises :class:`GraphTooLargeError` before a round whose rows
+    would take the text past :data:`MAX_TRACE_CHARS` characters, with the
+    whole rounds before it written.
     """
-    if result.history is None:
-        raise ValueError("run was executed without trace recording")
-    n = result.n
-    header = "k\tP\t" + "\t".join(f"v{v + base}" for v in range(n))
-    lines = [header]
-    for k, snap in enumerate(result.history):
-        lines.append(f"{k}\tx\t" + "\t".join(_fmt_set(s.reach, base) for s in snap.states))
-        lines.append(f"{k}\ty\t" + "\t".join(str(s.max_size) for s in snap.states))
-        lines.append(f"{k}\tz\t" + "\t".join(_fmt_set(s.peers, base) for s in snap.states))
-        lines.append(f"{k}\tw\t" + "\t".join(str(s.stable) for s in snap.states))
-    return "\n".join(lines) + "\n"
+    n = g.n
+    per_node = mode is Mode.PER_NODE_FREEZE
+    labels = [str(v + base) for v in range(n)]
+    nodes_of: list = [()] * n
+    for nodes in _weak_components(g):  # the engine's bit order
+        for v in nodes:
+            nodes_of[v] = nodes
 
+    def cell(v: NodeId, mask: int) -> str:
+        return "{" + ",".join(map(labels.__getitem__, sorted(_ids(mask, nodes_of[v])))) + "}"
 
-def _fmt_set(ids: frozenset[int], base: int) -> str:
-    return "{" + ",".join(str(v + base) for v in sorted(ids)) + "}"
+    x = ["{" + label + "}" for label in labels]
+    y = ["1"] * n
+    z = ["{}"] * n
+    z_mask = [0] * n
+    written = 0
+    k = 0
+
+    def write(w: list[str], head: str = "") -> None:
+        nonlocal written
+        text = head + "".join(
+            f"{k}\t{name}\t" + "\t".join(row) + "\n"
+            for name, row in (("x", x), ("y", y), ("z", z), ("w", w))
+        )
+        if written + len(text) > MAX_TRACE_CHARS:
+            raise GraphTooLargeError(
+                f"the trace of this graph passes the limit of {MAX_TRACE_CHARS} "
+                f"characters in round {k}"
+            )
+        out.write(text)
+        written += len(text)
+
+    def observe(live, grown, size, reach, by_size, offset) -> None:
+        nonlocal k
+        k += 1
+        w = ["True"] * n
+        for v, r, s in grown:
+            x[v] = cell(v, r)
+            y[v] = str(s)
+            w[v] = "False"
+        # The grown nodes' peers are read with their new sets, the others' with their own.
+        kept = ((v, reach[v], size[v]) for v in (live if per_node else range(n)) if w[v] == "True")
+        for v, r, s in chain(grown, kept):
+            p = r & by_size[offset[v] + s]
+            if p != z_mask[v]:
+                z_mask[v] = p
+                z[v] = cell(v, p)
+        write(w)
+
+    write(["False"] * n, "k\tP\t" + "\t".join("v" + label for label in labels) + "\n")
+    _run(g, mode, observe)
 
 
 def render_result(result: RunResult, partition: SccPartition, base: int = 0) -> str:

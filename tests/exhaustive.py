@@ -11,8 +11,9 @@ distance into the node) is at most ``v``'s: ``v`` settles in round
 its component has its full reach set exactly if ``ecc(u) <= ecc(v)``, and
 a node outside it has a smaller one.  Peers read against the sizes of
 round ``ecc(v) + 1`` instead fail this on 0 <-> 1, 2 -> 0.  With
-``against_reference`` it also checks the trace, round counts and element
-ops against :func:`reference_engine.reference_run`.  Tier-1 covers 1-4
+``against_reference`` it also checks the per-round states, the streamed
+trace text, round counts and element ops against
+:func:`reference_engine.reference_run`.  Tier-1 covers 1-4
 nodes, and 1-3 with self-loops (``tests/test_exhaustive.py``); CI covers
 all 1,048,576 loop-free digraphs on 5 nodes without the reference:
 
@@ -26,6 +27,7 @@ from sccd.graphs import Digraph
 from sccd.oracles import bfs_finite_diameter, floyd_warshall_diameter, scc_kosaraju
 
 from conftest import INF, distance_rows
+from history import render_history, streamed_table, traced_run
 from reference_engine import reference_run
 
 
@@ -46,7 +48,7 @@ def check_all_digraphs(k: int, loops: bool = False, against_reference: bool = Fa
         assert floyd_warshall_diameter(g) == diameter, f"oracles disagree on {k} nodes, {edges}"
         for mode in Mode:
             where = f"{mode.value} on {k} nodes, {edges}"
-            result = run(g, mode, trace=against_reference)
+            result, history = traced_run(g, mode) if against_reference else (run(g, mode), None)
             assert assemble_partition(result) == components, where
             assert finite_diameter_from_run(result) == diameter, where
             for nodes in result.components:
@@ -57,8 +59,9 @@ def check_all_digraphs(k: int, loops: bool = False, against_reference: bool = Fa
                         scc = {u for u in scc if ecc[u] <= ecc[v]}
                     assert peers == scc, f"peers of {v}, {where}"
             if against_reference:
-                ref = reference_run(g, mode, trace=True)
-                assert result.history == ref.history, where
+                ref, ref_history = reference_run(g, mode)
+                assert history == ref_history, where
+                assert streamed_table(g, mode) == render_history(ref_history), where
                 assert result.rounds_per_node == ref.rounds_per_node, where
                 assert result.element_ops == ref.element_ops, where
     return 1 << len(pairs)

@@ -5,10 +5,11 @@ snapshots, and :func:`reference_run` drives it round by round, exactly
 as the paper states the rounds.  It shares no update code with
 :func:`sccd.engine.run`.  ``order`` picks the sequence in which each
 round's live nodes are updated; every update reads only the previous
-snapshot, so any order must give the same result.  The returned
-:class:`RunResult` holds the final sets as masks over one component,
-every node ``0..n-1``, and its own count as ``counted``; it keeps no
-graph, so reading its ``element_ops`` never runs the bitset engine.
+snapshot, so any order must give the same result.  It returns its own
+history of snapshots beside a :class:`RunResult`, which holds the final
+sets as masks over one component, every node ``0..n-1``, and its own
+count as ``counted``; it keeps no graph, so reading its ``element_ops``
+never runs the bitset engine.
 :func:`reference_assemble` builds the partition from one frozenset per
 peer mask; :func:`sccd.engine.assemble_partition`, which builds none, is
 checked against it.
@@ -94,12 +95,9 @@ def schedules(seed: int) -> dict[str, Order]:
 
 
 def reference_run(
-    g: Digraph,
-    mode: Mode = Mode.PER_NODE_FREEZE,
-    trace: bool = False,
-    order: Order = natural,
-) -> RunResult:
-    """Rounds of :func:`node_round` until every node has stabilized."""
+    g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE, order: Order = natural
+) -> tuple[RunResult, tuple[RoundSnapshot, ...]]:
+    """Rounds of :func:`node_round` until every node has stabilized, and their snapshots."""
     if g.n < 1:
         raise ValueError("reference_run requires a nonempty graph")
     n = g.n
@@ -122,15 +120,15 @@ def reference_run(
             new_states = [replace(s, frozen=False) for s in new_states]
         states = tuple(new_states)
         history.append(RoundSnapshot(states))
-    return RunResult(
+    result = RunResult(
         rounds_per_node=tuple(s.rounds for s in states),
         components=(tuple(range(n)),),
         reach=tuple(_mask(s.reach) for s in states),
         peers=tuple(_mask(s.peers) for s in states),
-        history=tuple(history) if trace else None,
         mode=mode,
         counted=element_ops,
     )
+    return result, tuple(history)
 
 
 def _mask(ids: frozenset[int]) -> int:

@@ -24,7 +24,6 @@ from sccd.engine import (
     finite_diameter_from_run,
     render_result,
     run,
-    trace_table,
 )
 from sccd.oracles import (
     bfs_finite_diameter,
@@ -36,6 +35,7 @@ from sccd.partition import SccPartition
 from conftest import INF, complete5, cycle_with_tail, distance_rows, pair_chain, tree9
 from corpus import build_corpus
 from cost_model import expected_cost_ba, expected_cost_er, expected_cost_ws
+from history import render_history, streamed_table, traced_run
 from reference_engine import reference_run, schedules
 from tables import GOLDEN_COMPLETE5, GOLDEN_PAIR_CHAIN, GOLDEN_TREE9, render_golden
 
@@ -52,17 +52,17 @@ def test_criterion_1_golden_traces():
         (complete5, GOLDEN_COMPLETE5),
         (tree9, GOLDEN_TREE9),
     ):
-        result = run(make(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-        assert trace_table(result, base=1) == render_golden(golden, base=1)
-        for k, (snap, row) in enumerate(zip(result.history, golden)):
+        assert streamed_table(make(), Mode.GLOBAL_ROUNDS, base=1) == render_golden(golden, base=1)
+        _, history = traced_run(make(), mode=Mode.GLOBAL_ROUNDS)
+        for k, (snap, row) in enumerate(zip(history, golden)):
             for i, st in enumerate(snap.states):
                 assert set(st.reach) == {v - 1 for v in row["x"][i]}
                 assert st.max_size == row["y"][i]
                 assert set(st.peers) == {v - 1 for v in row["z"][i]}
                 assert st.stable == row["w"][i]
     # the transient false positive is present
-    chain = run(pair_chain(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert set(chain.history[3].states[5].peers) == {2, 4}
+    _, chain = traced_run(pair_chain(), mode=Mode.GLOBAL_ROUNDS)
+    assert set(chain[3].states[5].peers) == {2, 4}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 1 PASS: all three worked tables reproduced exactly ({elapsed:.3f}s)")
@@ -125,8 +125,7 @@ def test_criterion_4_diameter_identity(corpus):
 
 def test_criterion_5_invariant_suite(corpus):
     for label, g in corpus:
-        result = run(g, trace=True)
-        history = result.history
+        result, history = traced_run(g)
         reference = scc_kosaraju(g)
         rows = distance_rows(g)
         for v in range(g.n):
@@ -210,12 +209,12 @@ def test_criterion_8_schedule_determinism(corpus):
     graphs += corpus[::20]
     for i, (label, g) in enumerate(graphs):
         for mode in Mode:
-            result = run(g, mode=mode, trace=True)
-            table = trace_table(result)
+            result = run(g, mode=mode)
+            table = streamed_table(g, mode)
             text = render_result(result, assemble_partition(result))
             for name, order in schedules(i).items():
-                ref = reference_run(g, mode=mode, trace=True, order=order)
-                assert trace_table(ref) == table, f"{label} in {mode}, {name} order"
+                ref, ref_history = reference_run(g, mode=mode, order=order)
+                assert render_history(ref_history) == table, f"{label} in {mode}, {name} order"
                 assert render_result(ref, assemble_partition(ref)) == text, (
                     f"{label} in {mode}, {name} order"
                 )

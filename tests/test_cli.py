@@ -7,10 +7,12 @@ import pytest
 
 from sccd import engine
 from sccd.cli import MAX_CHECK_NODES, main
-from sccd.engine import InternalCorrectnessError, _run
-from sccd.graphs import MAX_NODES
+from sccd.engine import InternalCorrectnessError, Mode, _run
+from sccd.graphs import MAX_NODES, Digraph
 
 from conftest import PAIR_CHAIN_TEXT
+from history import render_history
+from reference_engine import reference_run
 from tables import GOLDEN_PAIR_CHAIN, render_golden
 
 
@@ -106,7 +108,9 @@ def test_exit_3_messages_name_the_mode(chain_file, capsys, monkeypatch, flags):
     def broken(*args, **kwargs):
         raise InternalCorrectnessError("engine bug")
 
-    for name, commands in (("assemble_partition", ["scc"]), ("run", ["scc", "diameter", "trace"])):
+    for name, commands in (
+        ("assemble_partition", ["scc"]), ("run", ["scc", "diameter"]), ("trace_table", ["trace"])
+    ):
         with monkeypatch.context() as m:
             m.setattr(f"sccd.cli.{name}", broken)
             for cmd in commands:
@@ -158,19 +162,32 @@ def test_trace_command_reproduces_worked_table(chain_file, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--global-rounds"]])
 def test_trace_above_entry_limit_exits_2(tmp_path, capsys, monkeypatch, flags):
-    # A 30-node cycle keeps 120 entries in round 0 and 90 + 30 * (k + 1) in
-    # round k, so a limit of 1,000 is passed in round 5; an untraced run is
-    # not limited.
-    monkeypatch.setattr("sccd.engine.MAX_TRACE_ENTRIES", 1000)
+    # The limit counts the characters written, and is checked before each
+    # round.  Set one short of the end of round k of a 30-node cycle's table,
+    # it refuses round k and leaves rounds 0 to k - 1 written in whole; the
+    # header goes out with round 0.  The full table is the reference engine's
+    # history, rendered.  `sccd scc` on the same file is not limited.
+    edges = [(v, (v + 1) % 30) for v in range(30)]
     p = tmp_path / "cycle.txt"
-    p.write_text("".join(f"{v} {(v + 1) % 30}\n" for v in range(30)))
-    assert main(["trace", str(p), *flags]) == 2
-    assert capsys.readouterr() == ("", (
-        "error: the trace of this graph passes the limit of 1000 entries in round 5\n"
-    ))
-    assert main(["scc", str(p), *flags]) == 0
+    p.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    mode = Mode.GLOBAL_ROUNDS if flags else Mode.PER_NODE_FREEZE
+    _, history = reference_run(Digraph.from_edges(30, edges), mode)
+    lines = render_history(history).splitlines(keepends=True)
+    assert len(lines) == 1 + 4 * 31
+    rounds = ["".join(lines[:5])] + ["".join(lines[i:i + 4]) for i in range(5, len(lines), 4)]
+    for k in (5, 0):
+        limit = len("".join(rounds[:k + 1])) - 1
+        monkeypatch.setattr("sccd.engine.MAX_TRACE_CHARS", limit)
+        assert main(["trace", str(p), *flags]) == 2
+        assert capsys.readouterr() == ("".join(rounds[:k]), (
+            f"error: the trace of this graph passes the limit of {limit} characters "
+            f"in round {k}\n"
+        ))
+        assert main(["scc", str(p), *flags]) == 0
+        capsys.readouterr()
     monkeypatch.undo()
     assert main(["trace", str(p), *flags]) == 0
+    assert capsys.readouterr().out == "".join(lines)
 
 
 def test_mode_flag_is_refused(chain_file, tmp_path, capsys):
@@ -239,12 +256,12 @@ def test_bench_command_writes_csv_and_manifest(tmp_path, capsys):
 
 
 def test_untraced_commands_build_no_views(chain_file, tmp_path, capsys, monkeypatch):
-    # scc, diameter and bench read the run's masks; only a trace or a read
-    # of RunResult.final builds NodeState views.
+    # scc, diameter and bench read the run's masks, and trace writes its rows
+    # from them; only a read of RunResult.final builds NodeState views.
     def outputs():
         seen = []
         for flags in ([], ["--global-rounds"]):
-            for cmd in ("scc", "diameter"):
+            for cmd in ("scc", "diameter", "trace"):
                 assert main([cmd, chain_file, "--base", "1", *flags]) == 0
                 seen.append(capsys.readouterr().out)
         out = tmp_path / "er.csv"
@@ -272,9 +289,9 @@ def test_commands_run_the_rounds_once_without_counting(chain_file, capsys, monke
     # run neither counts in its rounds nor replays them to count.
     counts = []
 
-    def rounds(g, mode, trace, count):
-        counts.append(count)
-        return _run(g, mode, trace, count)
+    def rounds(g, mode, observe=None):
+        counts.append(isinstance(observe, engine._ElementOps))
+        return _run(g, mode, observe)
 
     monkeypatch.setattr(engine, "_run", rounds)
     assert main([*argv, chain_file, "--base", "1"]) == 0

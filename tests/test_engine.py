@@ -34,6 +34,7 @@ from conftest import (
     tree9,
 )
 from corpus import gen_uniform_digraph
+from history import traced_run
 from reference_engine import init_state, node_round, reference_run, schedules
 from tables import GOLDEN_PAIR_CHAIN
 
@@ -180,9 +181,9 @@ def test_graphs_of_several_components_run_every_settling_merge(mode):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_skipped_merges_change_no_result(make, mode):
     g = make()
-    ref = reference_run(g, mode=mode, trace=True)
-    traced = run(g, mode=mode, trace=True)
-    assert traced.history == ref.history
+    ref, ref_history = reference_run(g, mode=mode)
+    traced, history = traced_run(g, mode=mode)
+    assert history == ref_history
     for result in (traced, run(g, mode=mode)):
         assert result.final == ref.final
         assert result.rounds_per_node == ref.rounds_per_node
@@ -204,16 +205,15 @@ def test_run_requires_nonempty_graph():
 
 
 def test_run_history_starts_at_initialization():
-    r = run(pair_chain(), trace=True)
-    assert r.history is not None
-    assert r.history[0].states == tuple(init_state(v) for v in range(6))
+    _, history = traced_run(pair_chain())
+    assert history[0].states == tuple(init_state(v) for v in range(6))
 
 
 def test_frozen_states_carried_forward_verbatim():
-    r = run(pair_chain(), trace=True)
+    _, history = traced_run(pair_chain())
     # v1 (index 0) freezes after round 2; later snapshots repeat its state
-    for snap in r.history[2:]:
-        assert snap.states[0] == r.history[2].states[0]
+    for snap in history[2:]:
+        assert snap.states[0] == history[2].states[0]
 
 
 def test_finite_diameter_worked_graphs():
@@ -379,13 +379,13 @@ def test_determinism_across_modes_and_schedules():
         g = gen_uniform_digraph(30, 0.1, seed=seed)
         parts = set()
         for mode in Mode:
-            result = run(g, mode=mode, trace=True)
+            result, history = traced_run(g, mode=mode)
             parts.add(assemble_partition(result).components)
             for name, order in schedules(seed).items():
-                ref = reference_run(g, mode=mode, trace=True, order=order)
+                ref, ref_history = reference_run(g, mode=mode, order=order)
                 assert ref.rounds_per_node == result.rounds_per_node, (mode, name)
                 assert ref.final == result.final, (mode, name)
-                assert ref.history == result.history, (mode, name)
+                assert ref_history == history, (mode, name)
                 assert ref.element_ops == result.element_ops, (mode, name)
         assert len(parts) == 1
 
@@ -411,9 +411,9 @@ def test_sparse_masks_in_a_wide_component():
     edges = [(3, v) for v in range(4, 300)] + [(1, 2), (2, 1)]
     g = Digraph.from_edges(300, edges)
     for mode in Mode:
-        result = run(g, mode=mode, trace=True)
-        ref = reference_run(g, mode=mode, trace=True)
-        assert result.history == ref.history
+        result, history = traced_run(g, mode=mode)
+        ref, ref_history = reference_run(g, mode=mode)
+        assert history == ref_history
         assert result.element_ops == ref.element_ops
         assert result.final.states[299].reach == frozenset({3, 299})
 
@@ -429,12 +429,12 @@ def test_run_refuses_components_above_mask_limit():
 
 def test_element_ops_counted_and_bounded():
     g = pair_chain()
-    result = run(g, trace=True)
+    result, history = traced_run(g)
     # recount from the history: live nodes read their own and their
     # in-neighbors' reach sets each round
     total = 0
-    for r in range(1, len(result.history)):
-        prev = result.history[r - 1].states
+    for r in range(1, len(history)):
+        prev = history[r - 1].states
         for v in range(g.n):
             if prev[v].frozen:
                 continue
@@ -447,21 +447,21 @@ def test_element_ops_counted_and_bounded():
 
 def test_element_ops_is_counted_once_and_only_when_read(monkeypatch):
     g = pair_chain()
-    expected = {mode: reference_run(g, mode=mode).element_ops for mode in Mode}
+    expected = {mode: reference_run(g, mode=mode)[0].element_ops for mode in Mode}
     results = {mode: run(g, mode=mode) for mode in Mode}
     counts = []
 
-    def rounds(g, mode, trace, count):
-        counts.append((mode, trace, count))
-        return _run(g, mode, trace, count)
+    def rounds(g, mode, observe=None):
+        counts.append((mode, type(observe)))
+        return _run(g, mode, observe)
 
     monkeypatch.setattr(engine, "_run", rounds)
     for _ in range(2):
         for mode, result in results.items():
             assert result.element_ops == expected[mode]
     # A global-rounds run counted in its rounds; the per-node-freeze result
-    # replayed them once, untraced and counting, and kept the count.
-    assert counts == [(Mode.PER_NODE_FREEZE, False, True)]
+    # replayed them once, with the counting observer alone, and kept the count.
+    assert counts == [(Mode.PER_NODE_FREEZE, engine._ElementOps)]
 
 
 def test_result_fields_keep_the_graph_out_of_repr_and_comparison():
@@ -473,7 +473,7 @@ def test_result_fields_keep_the_graph_out_of_repr_and_comparison():
         assert first == second
         assert "graph" not in repr(first) and "Digraph" not in repr(first)
         assert "mode" not in repr(first) and "counted" not in repr(first)
-        assert run(g, mode=mode, trace=True) == run(g, mode=mode, trace=True)
+        assert traced_run(g, mode=mode) == traced_run(g, mode=mode)
 
 
 def test_self_loop_is_harmless():

@@ -18,11 +18,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from sccd.bench import FAMILIES, ExperimentConfig, diameter_benchmark, emit_csv, run_experiment
 from sccd.cli import main
-from sccd.engine import Mode, assemble_partition, render_result, run, trace_table
+from sccd.engine import Mode, assemble_partition, render_result, run
 from sccd.graphs import serialize_edge_list
 
 from conftest import complete5, cycle_with_tail, edge_list_text, pair_chain, tree9
 from corpus import build_corpus
+from history import streamed_table
 
 SCC_TEXT_SHA256 = "fa1e594e7368e95fe86a2aa03d2d17a7b652c07d50d67011c101729a483445a4"
 TRACE_TEXT_SHA256 = "486be2b7b921982a93b8ef2440003a88b1eb6070eb03cb47d0f41dde46ca1718"
@@ -66,17 +67,13 @@ def scc_text(g, mode):
     return render_result(result, assemble_partition(result))
 
 
-def trace_text(g, mode):
-    return trace_table(run(g, mode=mode, trace=True))
-
-
 def test_scc_text_matches_pinned_digest():
     assert text_digest(build_corpus(), scc_text) == SCC_TEXT_SHA256
 
 
 def test_trace_text_matches_pinned_digest():
     small = [(label, g) for label, g in build_corpus() if g.n <= 30]
-    assert text_digest(small, trace_text) == TRACE_TEXT_SHA256
+    assert text_digest(small, streamed_table) == TRACE_TEXT_SHA256
 
 
 def test_csv_columns_match_pinned_digest(tmp_path):

@@ -39,6 +39,7 @@ from sccd.oracles import (
 )
 
 from conftest import INF, brute_force_sccs, distance_rows, edge_list_text, edge_set
+from history import render_history, streamed_table, traced_run
 from reference_engine import reference_assemble, reference_run
 
 MAX_N = 40
@@ -287,18 +288,18 @@ def test_bulk_parse_equals_line_loop(doc):
 @given(graphs)
 def test_engine_equals_reference_engine(g):
     for mode in Mode:
-        result = run(g, mode=mode, trace=True)
-        ref = reference_run(g, mode=mode, trace=True)
-        assert result.history == ref.history, mode
+        result, history = traced_run(g, mode=mode)
+        ref, ref_history = reference_run(g, mode=mode)
+        assert history == ref_history, mode
+        assert streamed_table(g, mode) == render_history(ref_history), mode
         assert result.final == ref.final, mode
-        # ref.history was built by node_round, never by the engine's views.
-        assert result.final == ref.history[-1], mode
+        # ref_history was built by node_round, never by the engine's views.
+        assert result.final == ref_history[-1], mode
         assert result.rounds_per_node == ref.rounds_per_node, mode
         assert result.element_ops == ref.element_ops, mode
-        # Without a trace, the nodes that grew keep no peers or round counts
-        # until they settle; the result must not show it.
+        # Without an observer, the nodes that grew keep no peers or round
+        # counts until they settle; the result must not show it.
         untraced = run(g, mode=mode)
-        assert untraced.history is None, mode
         for name in ("rounds_per_node", "element_ops", "components", "reach", "peers"):
             assert getattr(untraced, name) == getattr(result, name), (mode, name)
         assert untraced.final == ref.final, mode

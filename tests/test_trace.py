@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from sccd.engine import Mode, run, trace_table
+from sccd.engine import Mode, trace_table
+from sccd.generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_strogatz
+from sccd.graphs import Digraph
 
 from conftest import complete5, pair_chain, tree9
+from history import render_history, streamed_table, traced_run
+from memory import traced_peak
+from reference_engine import reference_run
 from tables import GOLDEN_COMPLETE5, GOLDEN_PAIR_CHAIN, GOLDEN_TREE9, render_golden
 
 CASES = [
@@ -14,10 +19,9 @@ CASES = [
 ]
 
 
-def assert_history_matches(result, golden):
-    assert result.history is not None
-    assert len(result.history) == len(golden)
-    for k, (snap, row) in enumerate(zip(result.history, golden)):
+def assert_history_matches(history, golden):
+    assert len(history) == len(golden)
+    for k, (snap, row) in enumerate(zip(history, golden)):
         for i, st in enumerate(snap.states):
             expected_reach = {v - 1 for v in row["x"][i]}
             expected_peers = {v - 1 for v in row["z"][i]}
@@ -29,15 +33,15 @@ def assert_history_matches(result, golden):
 
 @pytest.mark.parametrize("make,golden", CASES)
 def test_global_rounds_history_matches_hand_worked_tables(make, golden):
-    result = run(make(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert_history_matches(result, golden)
+    _, history = traced_run(make(), mode=Mode.GLOBAL_ROUNDS)
+    assert_history_matches(history, golden)
 
 
 @pytest.mark.parametrize("make,golden", CASES)
 def test_trace_text_matches_independent_rendering(make, golden):
-    result = run(make(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert trace_table(result, base=1) == render_golden(golden, base=1)
-    assert trace_table(result, base=0) == render_golden(golden, base=0)
+    g = make()
+    assert streamed_table(g, Mode.GLOBAL_ROUNDS, base=1) == render_golden(golden, base=1)
+    assert streamed_table(g, Mode.GLOBAL_ROUNDS, base=0) == render_golden(golden, base=0)
 
 
 def test_trace_text_golden_literal():
@@ -57,39 +61,68 @@ def test_trace_text_golden_literal():
         "2\tz\t{1,2,3,4,5}\t{1,2,3,4,5}\t{1,2,3,4,5}\t{1,2,3,4,5}\t{1,2,3,4,5}\n"
         "2\tw\tTrue\tTrue\tTrue\tTrue\tTrue\n"
     )
-    result = run(complete5(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert trace_table(result, base=1) == expected
+    assert streamed_table(complete5(), Mode.GLOBAL_ROUNDS, base=1) == expected
 
 
 def test_specific_cells():
-    result = run(pair_chain(), mode=Mode.GLOBAL_ROUNDS, trace=True)
+    _, history = traced_run(pair_chain(), mode=Mode.GLOBAL_ROUNDS)
     # round 2 peer row (1-based): {1,2} {1,2} {} {3} {} {5}
-    peers2 = [set(s.peers) for s in result.history[2].states]
+    peers2 = [set(s.peers) for s in history[2].states]
     assert peers2 == [{0, 1}, {0, 1}, set(), {2}, set(), {4}]
     # the transient false positive at node v6, round 3
-    assert set(result.history[3].states[5].peers) == {2, 4}
-    tree = run(tree9(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert set(tree.history[3].states[7].reach) == {0, 1, 3, 7}
-    k5 = run(complete5(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert [s.max_size for s in k5.history[1].states] == [5, 5, 5, 5, 5]
-
-
-def test_trace_requires_history():
-    result = run(pair_chain())
-    with pytest.raises(ValueError):
-        trace_table(result)
+    assert set(history[3].states[5].peers) == {2, 4}
+    _, tree = traced_run(tree9(), mode=Mode.GLOBAL_ROUNDS)
+    assert set(tree[3].states[7].reach) == {0, 1, 3, 7}
+    _, k5 = traced_run(complete5(), mode=Mode.GLOBAL_ROUNDS)
+    assert [s.max_size for s in k5[1].states] == [5, 5, 5, 5, 5]
 
 
 def test_per_node_freeze_trace_differs_only_in_frozen_peer_cells():
     # With freezing, a node that stabilized early keeps its last peer set,
     # so the v3 cell stays {3} after round 3 instead of growing to {3,4}.
-    frozen_run = run(pair_chain(), trace=True)
-    assert set(frozen_run.history[4].states[2].peers) == {2}
-    global_run = run(pair_chain(), mode=Mode.GLOBAL_ROUNDS, trace=True)
-    assert set(global_run.history[4].states[2].peers) == {2, 3}
-    for k in range(len(frozen_run.history)):
+    _, frozen_run = traced_run(pair_chain())
+    assert set(frozen_run[4].states[2].peers) == {2}
+    _, global_run = traced_run(pair_chain(), mode=Mode.GLOBAL_ROUNDS)
+    assert set(global_run[4].states[2].peers) == {2, 3}
+    for k in range(len(frozen_run)):
         for i in range(6):
-            a = frozen_run.history[k].states[i]
-            b = global_run.history[k].states[i]
+            a = frozen_run[k].states[i]
+            b = global_run[k].states[i]
             assert a.reach == b.reach
             assert a.max_size == b.max_size
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_erdos_renyi(60, 90, 1),
+    lambda: gen_barabasi_albert(60, 2, 1),
+    lambda: gen_watts_strogatz(60, 4, 0.2, 1),
+], ids=["er", "ba", "ws"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_streamed_table_equals_reference_rendering(make, mode):
+    # These graphs run 10-18 rounds with multi-node components, so cells are
+    # rendered again as their masks change over many rounds; the reference
+    # history is built by node_round, never by the engine.
+    g = make()
+    _, history = reference_run(g, mode)
+    assert len(history) > 10
+    for base in (0, 1):
+        assert streamed_table(g, mode, base) == render_history(history, base)
+
+
+class Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+@pytest.mark.parametrize("k", [10, 60])
+def test_global_rounds_trace_memory_does_not_grow_with_rounds(k):
+    # 2,000 isolated nodes beside a path of k nodes take k + 1 rounds, each
+    # writing a cell for every node.  The written rows are not kept, so the
+    # peak stays near 500 bytes per node whatever k is; keeping each round's
+    # states instead takes about 2.7 KiB per node for k = 10 and 14 KiB for
+    # k = 60.
+    g = Digraph.from_edges(2000 + k, [(v, v + 1) for v in range(2000, 2000 + k - 1)])
+    _, peak = traced_peak(lambda: trace_table(g, Mode.GLOBAL_ROUNDS, Discard(), 0))
+    assert peak < 1024 * g.n
