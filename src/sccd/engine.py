@@ -27,25 +27,14 @@ result.  :func:`run` computes the updates on int bitsets, and its
 :class:`RunResult` keeps those masks; :class:`NodeState` views are
 built from them only when ``final`` is read.
 
-An update in :func:`run` is its merge and one popcount.  A node whose
-size repeated has a complete reach set: it records its peers and round
-count in that update and, in both modes, runs no more; a global-rounds
-result still reports every node as running every round.  In a graph of
-one weakly connected component, a node whose reach set holds every node
-cannot grow, so its settling update merges nothing and only takes the
-popcount of its own set.
-
 The rounds call one optional observer per round, after the updates and
-before their write-back.  One observer sums the element-operation count,
-the modeled count, unchanged by the merges skipped: a global-rounds run
-counts in its rounds, and a per-node-freeze run, whose count would walk
-the live nodes' in-lists again, replays its rounds, counting, the first
-time its ``element_ops`` is read.  The other, in :func:`trace_table`,
-writes each round's rows as the round ends, so no round's states are kept.
+before their write-back: :class:`_ElementOps` sums the element-operation
+count, and :func:`trace_table` writes each round's rows as the round ends.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -176,14 +165,11 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
 
     Only the nodes whose reach set grew run in the next round.  A node
     whose size repeats settles, and its update writes its peers, read
-    against the previous round's sizes, and its round count.  When the
-    graph is one weakly connected component, a node whose reach set
-    became every node settles in its next update without a merge: after
-    each round's write-back, the nodes that newly reached size n get an
-    empty source list in a per-run copy of ``in_adj``, made the first
-    time one does.  In global-rounds mode every node's peers are read
-    again after the last round, which grew nothing, and every node gets
-    that round's count; the rounds also count ``element_ops``
+    against the previous round's sizes, and its round count; in a graph
+    of one weakly connected component, one whose reach set is every node
+    settles without a merge.  In global-rounds mode every node's peers
+    are read again after the last round, which grew nothing, and every
+    node gets that round's count; the rounds also count ``element_ops``
     (:class:`_ElementOps`).  Raises :class:`GraphTooLargeError` before
     allocating masks that could pass :data:`MAX_MASK_BITS` bits.
     """
@@ -196,12 +182,13 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
 def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> RunResult:
     """The rounds of :func:`run`, calling ``observe`` once per round.
 
-    ``observe(live, grown, size, reach, by_size, offset)`` runs after the
-    round's updates and before their write-back: ``live`` are the nodes
+    ``observe(live, grown, size, reach, by_size, offset, comps)`` runs after
+    the round's updates and before their write-back: ``live`` are the nodes
     updated, ``grown`` the ``(v, r, s)`` of those whose reach set grew to
-    ``r`` of size ``s``, and ``size``, ``reach`` and ``by_size`` still
-    hold the previous round.  Node ``v``'s sizes index ``by_size`` from
-    ``offset[v]``.  The observer must not change them.
+    ``r`` of size ``s``, and ``size``, ``reach`` and ``by_size`` still hold
+    the previous round.  Node ``v``'s sizes index ``by_size`` from
+    ``offset[v]``; bit ``i`` of its masks is its component's ``i``-th node
+    in ``comps``.  The observer must not change them.
     """
     if g.n < 1:
         raise ValueError("run requires a nonempty graph")
@@ -263,7 +250,7 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
             else:
                 grown.append((v, r, s))
         if observe is not None:
-            observe(live, grown, size, reach, by_size, base)
+            observe(live, grown, size, reach, by_size, base, comps)
         for v, r, s in grown:
             b = base[v]
             by_size[b + size[v]] ^= own[v]
@@ -440,60 +427,78 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
 
     One block of four rows per round, labeled x (reach), y (max_size),
     z (peers) and w (stable); one column per node; sets in ascending id
-    order, shifted by ``base`` for 1-based input.  Each cell is rendered
+    order, shifted by ``base`` for 1-based input.  A cell is rendered
     again only when it changed: x and y when the node grew, z when its
-    peers, read against the previous round's sizes, differ from the last
-    written.  Raises :class:`GraphTooLargeError` before a round whose rows
-    would take the text past :data:`MAX_TRACE_CHARS` characters, with the
-    whole rounds before it written.
+    peers, read against the previous round's sizes, changed.  A round's
+    length is counted from its masks, round 0's from ``g.n``, before any
+    cell of it is rendered: :class:`GraphTooLargeError` refuses a round
+    that would take the text past :data:`MAX_TRACE_CHARS` characters.
     """
     n = g.n
     per_node = mode is Mode.PER_NODE_FREEZE
-    labels = [str(v + base) for v in range(n)]
-    nodes_of: list = [()] * n
-    for nodes in _weak_components(g):  # the engine's bit order
-        for v in nodes:
-            nodes_of[v] = nodes
-
-    def cell(v: NodeId, mask: int) -> str:
-        return "{" + ",".join(map(labels.__getitem__, sorted(_ids(mask, nodes_of[v])))) + "}"
-
-    x = ["{" + label + "}" for label in labels]
-    y = ["1"] * n
-    z = ["{}"] * n
-    z_mask = [0] * n
-    written = 0
+    tens = [10**j for j in range(1, len(str(n - 1 + base)))]
+    cells = n + sum(min(n, n + base - t) for t in tens)  # the labels' digits
+    room = MAX_TRACE_CHARS - (4 + 2 * n + cells)  # less the header
+    cells += 5 * n  # the characters in the x, y and z cells
     k = 0
 
-    def write(w: list[str], head: str = "") -> None:
-        nonlocal written
-        text = head + "".join(
-            f"{k}\t{name}\t" + "\t".join(row) + "\n"
-            for name, row in (("x", x), ("y", y), ("z", z), ("w", w))
-        )
-        if written + len(text) > MAX_TRACE_CHARS:
+    def admit(w: int) -> None:  # round k, whose w cells take w characters
+        nonlocal room
+        room -= 4 * (len(str(k)) + 3 + n) + cells + w
+        if room < 0:
             raise GraphTooLargeError(
                 f"the trace of this graph passes the limit of {MAX_TRACE_CHARS} "
                 f"characters in round {k}"
             )
-        out.write(text)
-        written += len(text)
 
-    def observe(live, grown, size, reach, by_size, offset) -> None:
-        nonlocal k
+    def length(v: NodeId, mask: int) -> int:  # of cell(v, mask): braces, commas, digits
+        s = mask.bit_count()
+        cuts = (bisect_left(nodes_of[v], t - base) for t in tens)
+        return max(2 * s + 1, 2) + sum((mask >> i).bit_count() for i in cuts)
+
+    admit(5 * n)
+    labels = [str(v + base) for v in range(n)]
+    nodes_of: list = [()] * n
+    x = ["{" + label + "}" for label in labels]
+    y = ["1"] * n
+    z = ["{}"] * n
+    z_mask = [0] * n
+
+    def cell(v: NodeId, mask: int) -> str:
+        return "{" + ",".join(map(labels.__getitem__, sorted(_ids(mask, nodes_of[v])))) + "}"
+
+    def write(w: list[str], head: str = "") -> None:
+        out.write(head + "".join(
+            f"{k}\t{name}\t" + "\t".join(row) + "\n"
+            for name, row in (("x", x), ("y", y), ("z", z), ("w", w))
+        ))
+
+    def observe(live, grown, size, reach, by_size, offset, comps) -> None:
+        nonlocal k, cells
+        if not k:  # bit i of v's masks is nodes_of[v][i]
+            for nodes in comps:
+                for v in nodes:
+                    nodes_of[v] = nodes
         k += 1
         w = ["True"] * n
         for v, r, s in grown:
-            x[v] = cell(v, r)
-            y[v] = str(s)
+            cells += length(v, r) + len(str(s)) - len(x[v]) - len(y[v])
             w[v] = "False"
         # The grown nodes' peers are read with their new sets, the others' with their own.
         kept = ((v, reach[v], size[v]) for v in (live if per_node else range(n)) if w[v] == "True")
+        changed = []
         for v, r, s in chain(grown, kept):
             p = r & by_size[offset[v] + s]
             if p != z_mask[v]:
+                cells += length(v, p) - len(z[v])
                 z_mask[v] = p
-                z[v] = cell(v, p)
+                changed.append(v)
+        admit(4 * n + len(grown))
+        for v, r, s in grown:
+            x[v] = cell(v, r)
+            y[v] = str(s)
+        for v in changed:
+            z[v] = cell(v, z_mask[v])
         write(w)
 
     write(["False"] * n, "k\tP\t" + "\t".join("v" + label for label in labels) + "\n")

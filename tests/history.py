@@ -20,7 +20,6 @@ from sccd.engine import (
     RoundSnapshot,
     RunResult,
     _run,
-    _weak_components,
     trace_table,
 )
 from sccd.graphs import Digraph
@@ -37,14 +36,16 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
     updated keeps its state.
     """
     per_node = mode is Mode.PER_NODE_FREEZE
-    nodes_of = {v: nodes for nodes in _weak_components(g) for v in nodes}
+    nodes_of = {}
     states = [NodeState(frozenset((v,)), 1, frozenset(), False, 0, False) for v in range(g.n)]
     history = [RoundSnapshot(tuple(states))]
 
     def members(v, mask):
         return frozenset(u for i, u in enumerate(nodes_of[v]) if mask >> i & 1)
 
-    def observe(live, grown, size, reach, by_size, offset):
+    def observe(live, grown, size, reach, by_size, offset, comps):
+        if not nodes_of:
+            nodes_of.update((v, nodes) for nodes in comps for v in nodes)
         new = {v: (r, s) for v, r, s in grown}
         for v in live if per_node else range(g.n):
             r, s = new.get(v, (reach[v], size[v]))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 
-from sccd.engine import Mode, trace_table
+from sccd.engine import GraphTooLargeError, Mode, run, trace_table
 from sccd.generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_strogatz
 from sccd.graphs import Digraph
 
@@ -126,3 +128,48 @@ def test_global_rounds_trace_memory_does_not_grow_with_rounds(k):
     g = Digraph.from_edges(2000 + k, [(v, v + 1) for v in range(2000, 2000 + k - 1)])
     _, peak = traced_peak(lambda: trace_table(g, Mode.GLOBAL_ROUNDS, Discard(), 0))
     assert peak < 1024 * g.n
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_trace_limit_counts_every_round_exactly(monkeypatch, mode):
+    # A round's length is counted from its masks before it is rendered.  With
+    # the limit one short of the end of each round in turn, the trace stops
+    # exactly there, over 10+ rounds of cells rendered again.  The labels
+    # run to 100 in base 0 and to 101 in base 1, so one and two of them
+    # have three digits.
+    g = gen_watts_strogatz(101, 4, 0.2, 1)
+    for base in (0, 1):
+        monkeypatch.undo()
+        lines = streamed_table(g, mode, base).splitlines(keepends=True)
+        ends = [0] + [len("".join(lines[:i])) for i in range(5, len(lines) + 1, 4)]
+        assert len(ends) > 11
+        for k in range(len(ends) - 1):
+            monkeypatch.setattr("sccd.engine.MAX_TRACE_CHARS", ends[k + 1] - 1)
+            out = io.StringIO()
+            with pytest.raises(GraphTooLargeError, match=f"in round {k}$"):
+                trace_table(g, mode, out, base)
+            assert out.getvalue() == "".join(lines)[:ends[k]]
+        monkeypatch.setattr("sccd.engine.MAX_TRACE_CHARS", ends[-1])
+        assert streamed_table(g, mode, base) == "".join(lines)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_refused_round_is_never_rendered(monkeypatch, mode):
+    # Each leaf of a star whose hub links both ways reaches all 1,500 nodes
+    # in round 2, so that round's x row alone would take 9.6 million
+    # characters.  Its length is counted from the masks and refused before a
+    # cell is rendered: the trace peaks within 512 bytes per node of the
+    # untraced run, where rendering the round first took 20 KiB per node.
+    n = 1500
+    g = Digraph.from_edges(n, [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)])
+    _, run_peak = traced_peak(lambda: run(g, mode))
+    monkeypatch.setattr("sccd.engine.MAX_TRACE_CHARS", 1 << 20)
+    out = io.StringIO()
+
+    def refused():
+        with pytest.raises(GraphTooLargeError, match="in round 2$"):
+            trace_table(g, mode, out, 0)
+
+    _, peak = traced_peak(refused)
+    assert out.getvalue().count("\n") == 1 + 4 * 2
+    assert peak < run_peak + 512 * n
