@@ -229,7 +229,7 @@ def emit_csv(records: list[ExperimentRecord], path: str | Path) -> None:
     """Write one header row plus one row per record, columns in CSV_COLUMNS order."""
     if not records:
         raise ValueError("no records to emit")
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         writer.writerows([_cell(getattr(r, c)) for c in CSV_COLUMNS] for r in records)
@@ -245,4 +245,4 @@ def write_manifest(path: str | Path, description: str, seed: int, mode: Mode) ->
         f"watts-strogatz lattice neighbors: {WS_LATTICE_K}",
         "timings: median of repeated runs, monotonic clock, warm-up discarded",
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

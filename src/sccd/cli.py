@@ -44,7 +44,7 @@ MAX_CHECK_NODES = 4096
 
 
 def _read_graph(path: str, base: int) -> Digraph:
-    return parse_edge_list(Path(path).read_text(), base=base)
+    return parse_edge_list(Path(path).read_text(encoding="utf-8"), base=base)
 
 
 @contextmanager
@@ -121,7 +121,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         g = gen_watts_strogatz(args.n, args.k, args.p, args.seed)
     text = serialize_edge_list(g)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -463,6 +463,7 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
     y = ["1"] * n
     z = ["{}"] * n
     z_mask = [0] * n
+    entered: dict[int, tuple[NodeId, ...]] = {}  # by_size slots a node grew into last round
 
     def cell(v: NodeId, mask: int) -> str:
         return "{" + ",".join(map(labels.__getitem__, sorted(_ids(mask, nodes_of[v])))) + "}"
@@ -485,7 +486,16 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
             cells += length(v, r) + len(str(s)) - len(x[v]) - len(y[v])
             w[v] = "False"
         # The grown nodes' peers are read with their new sets, the others' with their own.
-        kept = ((v, reach[v], size[v]) for v in (live if per_node else range(n)) if w[v] == "True")
+        # In global rounds a node that did not grow has its whole reach set.  A member
+        # of that set with the same size has the same set and cannot grow, so the
+        # node's peers change only when another node grows into its size slot.
+        if per_node:
+            readers: Iterable[NodeId] = live
+        elif k == 1:
+            readers = range(n)
+        else:
+            readers = chain.from_iterable(_ids(by_size[b], nodes) for b, nodes in entered.items())
+        kept = ((v, reach[v], size[v]) for v in readers if w[v] == "True")
         changed = []
         for v, r, s in chain(grown, kept):
             p = r & by_size[offset[v] + s]
@@ -493,6 +503,10 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
                 cells += length(v, p) - len(z[v])
                 z_mask[v] = p
                 changed.append(v)
+        if not per_node:
+            entered.clear()
+            for v, _, s in grown:
+                entered[offset[v] + s] = nodes_of[v]
         admit(4 * n + len(grown))
         for v, r, s in grown:
             x[v] = cell(v, r)

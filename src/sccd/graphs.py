@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 NodeId = int
 
@@ -107,8 +109,13 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
     Text in the form :func:`serialize_edge_list` writes (a ``# nodes: N``
     first line, which may be left out, then lines of ASCII digits, one
     space and ASCII digits, each ending in a newline, every id in range)
-    is read in bulk.  Every other text, and every error, goes through a
-    loop over the lines that names the offending line.
+    is read in bulk, a chunk of whole lines at a time.  With the
+    directive each chunk goes to the builder as soon as it is decoded;
+    without it the chunks are held until the largest id is known, and
+    each is freed as the builder reads it.  Every other text, and every
+    error, goes through a loop over the lines that names the offending
+    line, from the first line, even when a chunk fails after earlier
+    ones reached the builder.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
@@ -118,6 +125,12 @@ def parse_edge_list(text: str, base: int = 0) -> Digraph:
 
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
+# Characters of clean text decoded at a time; a chunk runs on to the end of its last line.
+_CHUNK = 1 << 16
+
+
+class _NotClean(Exception):
+    """Raised inside the bulk parse's pair stream to abort the build."""
 
 
 def _parse_clean(text: str, base: int) -> Digraph | None:
@@ -125,39 +138,67 @@ def _parse_clean(text: str, base: int) -> Digraph | None:
 
     ``None`` means only that the text is not in that form or an id is out
     of range; :func:`_parse_lines` then reads it and reports any error.
-    Once the digits are deleted, each line must read exactly " \\n", so
-    every line holds at most two ids; one ``json.loads`` decodes them all
-    and fails on an empty id or a leading zero.
+    The body is read in chunks of whole lines, each checked before any of
+    its pairs reaches the builder, and a chunk that fails aborts the
+    build.  Once the digits are deleted, each line must read exactly
+    " \\n", so every line holds at most two ids; one ``json.loads`` per
+    chunk decodes them and fails on an empty id or a leading zero.
     """
     declared_n: int | None = None
-    body = text
+    start = 0
     if text.startswith("#"):
-        first, _, body = text.partition("\n")
-        m = _NODES_DIRECTIVE.fullmatch(first)
+        end = text.find("\n")
+        if end < 0:
+            end = len(text)
+        m = _NODES_DIRECTIVE.fullmatch(text, 0, end)
         if m is None:
             return None
         declared_n = int(m.group(1))
         if declared_n > MAX_NODES:
             return None
-    if body and not body.endswith("\n"):
-        return None
-    lines = body.count("\n")
-    if body.translate(_DROP_DIGITS) != " \n" * lines:
-        return None
-    try:
-        ids = json.loads("[" + body[:-1].translate(_TO_COMMAS) + "]")
-    except ValueError:
-        return None
-    if len(ids) != 2 * lines:
+        start = end + 1
+    if start < len(text) and not text.endswith("\n"):
         return None
     limit = MAX_NODES if declared_n is None else declared_n
-    top = max(ids, default=base - 1) - base  # ids are >= 0: they are made of digits
-    if top >= limit or (base and min(ids, default=1) < 1):
+    top = base - 1
+
+    def chunks() -> Iterator[list[int]]:
+        nonlocal top
+        i = start
+        while i < len(text):
+            j = text.find("\n", i + _CHUNK - 1) + 1 or len(text)
+            chunk = text[i:j]
+            i = j
+            lines = chunk.count("\n")
+            if chunk.translate(_DROP_DIGITS) != " \n" * lines:
+                raise _NotClean
+            try:
+                ids = json.loads("[" + chunk[:-1].translate(_TO_COMMAS) + "]")
+            except ValueError:
+                raise _NotClean from None
+            if len(ids) != 2 * lines:
+                raise _NotClean
+            top = max(top, max(ids))  # every id is >= 0: it is made of digits
+            if top - base >= limit or (base and min(ids) < 1):
+                raise _NotClean
+            yield [v - 1 for v in ids] if base else ids
+
+    try:
+        if declared_n is not None:
+            return Digraph._build(declared_n, chain.from_iterable(map(_pairs, chunks())))
+        # The largest id sets n, so every chunk is decoded first; each
+        # chunk's ids are freed once the builder has read them.
+        held = deque(chunks())
+        drained = (held.popleft() for _ in range(len(held)))
+        return Digraph._build(top + 1 - base, chain.from_iterable(map(_pairs, drained)))
+    except _NotClean:
         return None
-    n = top + 1 if declared_n is None else declared_n
-    it = iter([i - 1 for i in ids] if base else ids)
-    del ids  # now only the iterator holds the ids, which frees them once read
-    return Digraph._build(n, zip(it, it))
+
+
+def _pairs(ids: list[int]) -> Iterator[tuple[int, int]]:
+    """Consecutive ids as pairs; only the pairs' iterator keeps the list."""
+    it = iter(ids)
+    return zip(it, it)
 
 
 def _parse_lines(text: str, base: int) -> Digraph:

@@ -3,9 +3,10 @@
 :func:`traced_peak` gives the tracemalloc peak of one call and
 :func:`graph_bytes` what the returned graph holds.  Tier-1 holds the
 generators and the parser to bounds in these terms; CI checks one graph
-too large for Tier-1:
+too large for Tier-1 both ways:
 
     PYTHONPATH=src:tests python -c "from memory import check_ba_peak; check_ba_peak(2000, 400, 1)"
+    PYTHONPATH=src:tests python -c "from memory import check_parse_peak; check_parse_peak(2000, 400, 1)"
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import sys
 import tracemalloc
 
 from sccd.generators import gen_barabasi_albert
+from sccd.graphs import parse_edge_list, serialize_edge_list
 
 
 def traced_peak(make):
@@ -49,3 +51,13 @@ def check_ba_peak(n: int, m: int, seed: int) -> None:
     print(f"BA n={n} m={m}: {g.m} edges, peak {peak / 2**20:.1f} MiB, graph {held / 2**20:.1f} MiB")
     if peak >= 2 * held:
         sys.exit("generation peaked at twice the graph or more")
+
+
+def check_parse_peak(n: int, m: int, seed: int) -> None:
+    """Exit non-zero unless parsing BA(n, m)'s edge list peaks below 1.5 times its graph."""
+    text = serialize_edge_list(gen_barabasi_albert(n, m, seed))
+    g, peak = traced_peak(lambda: parse_edge_list(text))
+    held = graph_bytes(g)
+    print(f"BA n={n} m={m} text: {len(text)} characters, peak {peak / 2**20:.1f} MiB, graph {held / 2**20:.1f} MiB")
+    if peak >= 1.5 * held:
+        sys.exit("parsing peaked at 1.5 times the graph or more")

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import sccd
 from sccd import engine
 from sccd.cli import MAX_CHECK_NODES, main
 from sccd.engine import InternalCorrectnessError, Mode, _run
@@ -380,3 +385,24 @@ def test_generated_node_count_above_cap_exits_2(tmp_path, capsys, command, famil
     assert f"limit of {MAX_NODES} nodes" in capsys.readouterr().err
     assert peak < 4 * 2**20
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_edge_list_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale, with its coercion and UTF-8 mode off, the locale's
+    # encoding is ASCII, which cannot read the comment.
+    path = tmp_path / "g.txt"
+    path.write_text("# caf\u00e9\n0 1\n1 0\n", encoding="utf-8")
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONPATH": str(Path(sccd.__file__).parents[1]),
+    }
+    code = "import sys; from sccd.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "scc", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "component: 0 1\nrounds: 2 2\ndiameter: 1\n"

@@ -17,7 +17,7 @@ from sccd.oracles import scc_kosaraju
 from sccd.stats import graph_stats
 
 from conftest import PAIR_CHAIN_TEXT, complete5, edge_list_text, edge_set, pair_chain, tree9
-from memory import traced_peak
+from memory import graph_bytes, traced_peak
 
 
 def test_parse_worked_example_base1():
@@ -156,14 +156,30 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
         gen_watts_strogatz(60, 4, 0.2, 3),
         Digraph.from_edges(4, []),
     ]
-    for g in drawn:
+    # Then again in chunks of a line or two, each cut at a newline.
+    for chunk in (graphs._CHUNK, 1, 7):
+        monkeypatch.setattr(graphs, "_CHUNK", chunk)
+        for g in drawn:
+            for base in (0, 1):
+                assert parse_edge_list(edge_list_text(g, base), base=base) == g
+                text = edge_list_text(g, base, header=False)
+                assert edge_set(parse_edge_list(text, base=base)) == edge_set(g)
         for base in (0, 1):
-            assert parse_edge_list(edge_list_text(g, base), base=base) == g
-            text = edge_list_text(g, base, header=False)
-            assert edge_set(parse_edge_list(text, base=base)) == edge_set(g)
-    for base in (0, 1):
-        assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
-        assert parse_edge_list("# nodes: 7", base=base) == Digraph.from_edges(7, [])
+            assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
+            assert parse_edge_list("# nodes: 7", base=base) == Digraph.from_edges(7, [])
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_clean_parse_peaks_near_the_graph(header):
+    # The bulk parse decodes its text in chunks: with `# nodes:` each chunk
+    # goes to the builder as soon as it is decoded, and without it every
+    # chunk is held only until the largest id is known, then freed as the
+    # builder reads it.  No copy of the whole text is made.
+    g0 = gen_barabasi_albert(500, 100, 1)
+    text = edge_list_text(g0, 0, header)
+    g, peak = traced_peak(lambda: parse_edge_list(text))
+    assert g == g0
+    assert peak < (1.6 if header else 1.8) * graph_bytes(g)
 
 
 def test_parse_memory_per_node():

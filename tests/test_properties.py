@@ -9,7 +9,8 @@ mask assembly against the frozenset reference on drawn peer masks.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
 against adjacency built by hand from the drawn pairs.  Its bulk path is
-checked against its line loop on serialized graphs with one edit each.
+checked against its line loop on serialized graphs with one edit each,
+also when the text is cut into chunks of a few characters.
 Hypothesis runs derandomized with a fixed example count, so every run
 checks the same graphs.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,11 +279,16 @@ def parse_outcome(parse, text: str, base: int):
 
 
 @CHECKED
-@given(edited_serializations())
-@example(("5", 0))  # one id and no newline: an error, not an empty graph
-def test_bulk_parse_equals_line_loop(doc):
+@given(edited_serializations(), st.integers(1, 12))
+@example(("5", 0), 1)  # one id and no newline: an error, not an empty graph
+def test_bulk_parse_equals_line_loop(doc, chunk):
     text, base = doc
-    assert parse_outcome(parse_edge_list, text, base) == parse_outcome(_parse_lines, text, base)
+    expected = parse_outcome(_parse_lines, text, base)
+    assert parse_outcome(parse_edge_list, text, base) == expected
+    # Chunks of a few characters hold a line or two each, so an edit lands
+    # after earlier chunks' pairs have reached the builder.
+    with patch("sccd.graphs._CHUNK", chunk):
+        assert parse_outcome(parse_edge_list, text, base) == expected
 
 
 @CHECKED
