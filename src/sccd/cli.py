@@ -4,7 +4,8 @@ Subcommands: ``scc`` (component decomposition), ``diameter``, ``trace``
 (round-by-round table), ``gen`` (write a random graph as an edge list)
 and ``bench`` (experiment harness emitting CSV).  Exit codes: 0 on
 success, 2 on input or parameter errors (including a graph too large for
-the engine's mask limit, or a trace past its character limit), 3 when an
+the engine's mask limit or for the memory the process has, or a trace
+past its character limit), 3 when an
 internal correctness check fails or the engine raises on input that
 passed validation; an exit-3 message names the engine mode, so that it
 reproduces the failing run.  ``trace`` writes each round as it ends, so
@@ -44,7 +45,8 @@ MAX_CHECK_NODES = 4096
 
 
 def _read_graph(path: str, base: int) -> Digraph:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"), base=base)
+    with open(path, encoding="utf-8") as f:
+        return parse_edge_list(f, base=base)
 
 
 @contextmanager
@@ -220,8 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EdgeListError, ValueError, OSError, MemoryError) as exc:
+        # A MemoryError carries no message of its own.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except InternalCorrectnessError as exc:
         # Only commands that run the engine raise it, and each has a mode.

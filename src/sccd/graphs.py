@@ -12,8 +12,8 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator, TextIO
 
 NodeId = int
 
@@ -94,104 +94,74 @@ def max_in_degree(g: Digraph) -> int:
     return max(len(a) for a in g.in_adj)
 
 
-def parse_edge_list(text: str, base: int = 0) -> Digraph:
+def parse_edge_list(source: str | TextIO, base: int = 0) -> Digraph:
     """Parse whitespace-separated "u v" lines into a :class:`Digraph`.
 
-    Ids and the optional directive line ``# nodes: N`` are ASCII; ids may
-    carry a sign.  Lines may carry ``#`` comments; blank lines are
-    skipped; duplicate edges collapse.  ``base`` declares whether ids
-    start at 0 or 1 (they are rebased to 0).  The directive pins the
-    node count, the only way to keep isolated trailing nodes; without
-    it ``n`` is one more than the largest id seen.  It must exceed every
-    id on the lines before it.  A node count above :data:`MAX_NODES`,
-    declared or implied by an id, is rejected before any allocation.
+    ``source`` is the text, or an open text file that is read a chunk at
+    a time.  Ids and the optional directive line ``# nodes: N`` are
+    ASCII; ids may carry a sign.  Lines may carry ``#`` comments; blank
+    lines are skipped; duplicate edges collapse.  ``base`` declares
+    whether ids start at 0 or 1 (they are rebased to 0).  The directive
+    pins the node count, the only way to keep isolated trailing nodes;
+    without it ``n`` is one more than the largest id seen.  It must
+    exceed every id on the lines before it.  A node count above
+    :data:`MAX_NODES`, declared or implied by an id, is rejected before
+    any allocation.
 
-    Text in the form :func:`serialize_edge_list` writes (a ``# nodes: N``
-    first line, which may be left out, then lines of ASCII digits, one
-    space and ASCII digits, each ending in a newline, every id in range)
-    is read in bulk, a chunk of whole lines at a time.  With the
-    directive each chunk goes to the builder as soon as it is decoded;
-    without it the chunks are held until the largest id is known, and
-    each is freed as the builder reads it.  Every other text, and every
-    error, goes through a loop over the lines that names the offending
-    line, from the first line, even when a chunk fails after earlier
-    ones reached the builder.
+    The text is read in chunks of whole lines, each decoded in bulk when
+    it is in the form :func:`serialize_edge_list` writes and otherwise by
+    a loop over its lines that names any offending line.  A first line
+    that starts with ``#`` is read by that loop on its own.  When the
+    first chunk declares the node count, each chunk goes to the builder
+    as soon as it is decoded; otherwise the chunks are held until the
+    largest id is known, and each is freed as the builder reads it.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
-    g = _parse_clean(text, base)
-    return g if g is not None else _parse_lines(text, base)
+    reader = _Reader(base)
+    decoded = map(reader.decode, _line_chunks(source))
+    held = deque(islice(decoded, 1))
+    if reader.declared is None:
+        held.extend(decoded)
+    n = reader.top + 1 if reader.declared is None else reader.declared
+    drained = (held.popleft() for _ in range(len(held)))
+    return Digraph._build(n, chain.from_iterable(map(_pairs, chain(drained, decoded))))
 
 
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
-# Characters of clean text decoded at a time; a chunk runs on to the end of its last line.
-_CHUNK = 1 << 16
+# Characters read at a time; a chunk runs on to the end of its last line.
+# The line loop holds one chunk's lines at once, about 0.1 MiB at this size.
+_CHUNK = 1 << 14
 
 
-class _NotClean(Exception):
-    """Raised inside the bulk parse's pair stream to abort the build."""
-
-
-def _parse_clean(text: str, base: int) -> Digraph | None:
-    """The graph of text in :func:`serialize_edge_list`'s form, or ``None``.
-
-    ``None`` means only that the text is not in that form or an id is out
-    of range; :func:`_parse_lines` then reads it and reports any error.
-    The body is read in chunks of whole lines, each checked before any of
-    its pairs reaches the builder, and a chunk that fails aborts the
-    build.  Once the digits are deleted, each line must read exactly
-    " \\n", so every line holds at most two ids; one ``json.loads`` per
-    chunk decodes them and fails on an empty id or a leading zero.
-    """
-    declared_n: int | None = None
-    start = 0
-    if text.startswith("#"):
-        end = text.find("\n")
-        if end < 0:
-            end = len(text)
-        m = _NODES_DIRECTIVE.fullmatch(text, 0, end)
-        if m is None:
-            return None
-        declared_n = int(m.group(1))
-        if declared_n > MAX_NODES:
-            return None
-        start = end + 1
-    if start < len(text) and not text.endswith("\n"):
-        return None
-    limit = MAX_NODES if declared_n is None else declared_n
-    top = base - 1
-
-    def chunks() -> Iterator[list[int]]:
-        nonlocal top
-        i = start
-        while i < len(text):
-            j = text.find("\n", i + _CHUNK - 1) + 1 or len(text)
-            chunk = text[i:j]
+def _line_chunks(source: str | TextIO) -> Iterator[str]:
+    """``source`` in chunks of whole lines, each cut just after a newline."""
+    if isinstance(source, str):
+        i = 0
+        while i < len(source):
+            j = source.find("\n", i + _CHUNK - 1) + 1 or len(source)
+            yield source[i:j]
             i = j
-            lines = chunk.count("\n")
-            if chunk.translate(_DROP_DIGITS) != " \n" * lines:
-                raise _NotClean
-            try:
-                ids = json.loads("[" + chunk[:-1].translate(_TO_COMMAS) + "]")
-            except ValueError:
-                raise _NotClean from None
-            if len(ids) != 2 * lines:
-                raise _NotClean
-            top = max(top, max(ids))  # every id is >= 0: it is made of digits
-            if top - base >= limit or (base and min(ids) < 1):
-                raise _NotClean
-            yield [v - 1 for v in ids] if base else ids
+    else:
+        while chunk := source.read(_CHUNK):
+            if not chunk.endswith("\n"):
+                chunk += source.readline()
+            yield chunk
 
+
+def _clean_ids(chunk: str) -> list[int] | None:
+    """The ids of a chunk of lines in :func:`serialize_edge_list`'s form, or ``None``.
+
+    With the digits deleted each line must read exactly " \\n"; one
+    ``json.loads`` then fails on an empty id or a leading zero, so a
+    chunk it decodes holds two ids per line.
+    """
+    if not chunk.endswith("\n") or chunk.translate(_DROP_DIGITS) != " \n" * chunk.count("\n"):
+        return None
     try:
-        if declared_n is not None:
-            return Digraph._build(declared_n, chain.from_iterable(map(_pairs, chunks())))
-        # The largest id sets n, so every chunk is decoded first; each
-        # chunk's ids are freed once the builder has read them.
-        held = deque(chunks())
-        drained = (held.popleft() for _ in range(len(held)))
-        return Digraph._build(top + 1 - base, chain.from_iterable(map(_pairs, drained)))
-    except _NotClean:
+        return json.loads("[" + chunk[:-1].translate(_TO_COMMAS) + "]")
+    except ValueError:
         return None
 
 
@@ -201,64 +171,90 @@ def _pairs(ids: list[int]) -> Iterator[tuple[int, int]]:
     return zip(it, it)
 
 
-def _parse_lines(text: str, base: int) -> Digraph:
-    """Read ``text`` line by line, checking each line once as it is read.
+@dataclass
+class _Reader:
+    """Decodes chunks of lines in order, carrying what the checks need from earlier chunks.
 
-    This reads the text :func:`_parse_clean` does not take: comments,
-    blank lines, tabs, CRLF, signs or leading zeros, and every error,
-    which names the offending line.
+    ``line_no`` counts the lines read, ``declared`` is the directive's
+    node count once read, and ``top`` the largest rebased id so far.
     """
-    declared_n: int | None = None
-    tails: list[int] = []
-    heads: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            m = _NODES_DIRECTIVE.fullmatch(stripped)
-            if m:
-                if declared_n is not None:
-                    raise EdgeListError("duplicate 'nodes:' directive", line_no)
-                declared_n = int(m.group(1))
-                if declared_n > MAX_NODES:
-                    raise EdgeListError(
-                        f"declared node count {declared_n} exceeds the limit of {MAX_NODES}",
-                        line_no,
-                    )
-                top = max(max(tails, default=-1), max(heads, default=-1))
-                if top >= declared_n:
-                    raise EdgeListError(
-                        f"declared node count {declared_n} is too small for "
-                        f"id {top + base} on an earlier line",
-                        line_no,
-                    )
-            continue
-        if "#" in stripped:
-            stripped = stripped[: stripped.index("#")].strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise EdgeListError(f"expected 'u v', got {stripped!r}", line_no)
-        if not (_ID.fullmatch(tokens[0]) and _ID.fullmatch(tokens[1])):
-            raise EdgeListError(f"non-integer id in {stripped!r}", line_no)
-        u, v = int(tokens[0]) - base, int(tokens[1]) - base
-        if u < 0 or v < 0:
-            raise EdgeListError(f"id below base {base} in {stripped!r}", line_no)
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise EdgeListError(
-                f"id {max(u, v) + base} exceeds declared node count {declared_n}", line_no
-            )
-        if u >= MAX_NODES or v >= MAX_NODES:
-            raise EdgeListError(
-                f"id {max(u, v) + base} implies more than the limit of {MAX_NODES} nodes",
-                line_no,
-            )
-        tails.append(u)
-        heads.append(v)
-    n = declared_n
-    if n is None:
-        n = max(max(tails, default=-1), max(heads, default=-1)) + 1
-    return Digraph._build(n, zip(tails, heads))
+
+    base: int
+    line_no: int = 0
+    declared: int | None = None
+    top: int = -1
+
+    def decode(self, chunk: str) -> list[int]:
+        """The rebased ids of ``chunk``'s edges, in order."""
+        if not self.line_no and chunk.startswith("#"):
+            end = chunk.find("\n") + 1 or len(chunk)
+            head = self.read_lines(chunk[:end])
+            return head + self.decode(chunk[end:]) if end < len(chunk) else head
+        ids = _clean_ids(chunk)
+        # Every id is >= 0, since it is made of digits; text that is not
+        # clean counts as past the limit, so the loop reads it.
+        top = max(ids) - self.base if ids else MAX_NODES
+        limit = MAX_NODES if self.declared is None else self.declared
+        if top >= limit or (self.base and min(ids) < 1):
+            return self.read_lines(chunk)
+        self.line_no += len(ids) // 2
+        self.top = max(self.top, top)
+        return [v - 1 for v in ids] if self.base else ids
+
+    def read_lines(self, chunk: str) -> list[int]:
+        """Read ``chunk`` line by line, checking each line once as it is read.
+
+        This takes what the bulk decode does not (comments, blank lines, tabs,
+        CRLF, signs, leading zeros) and every error, naming its line."""
+        base, declared, top = self.base, self.declared, self.top
+        ids: list[int] = []
+        lines = chunk.splitlines()
+        for line_no, raw in enumerate(lines, start=self.line_no + 1):
+            stripped = raw.strip()
+            if stripped.startswith("#"):
+                m = _NODES_DIRECTIVE.fullmatch(stripped)
+                if m:
+                    if declared is not None:
+                        raise EdgeListError("duplicate 'nodes:' directive", line_no)
+                    declared = int(m.group(1))
+                    if declared > MAX_NODES:
+                        raise EdgeListError(
+                            f"declared node count {declared} exceeds the limit of {MAX_NODES}",
+                            line_no,
+                        )
+                    top = max(top, max(ids, default=-1))
+                    if top >= declared:
+                        raise EdgeListError(
+                            f"declared node count {declared} is too small for "
+                            f"id {top + base} on an earlier line",
+                            line_no,
+                        )
+                continue
+            if "#" in stripped:
+                stripped = stripped[: stripped.index("#")].strip()
+            if not stripped:
+                continue
+            tokens = stripped.split()
+            if len(tokens) != 2:
+                raise EdgeListError(f"expected 'u v', got {stripped!r}", line_no)
+            if not (_ID.fullmatch(tokens[0]) and _ID.fullmatch(tokens[1])):
+                raise EdgeListError(f"non-integer id in {stripped!r}", line_no)
+            u, v = int(tokens[0]) - base, int(tokens[1]) - base
+            if u < 0 or v < 0:
+                raise EdgeListError(f"id below base {base} in {stripped!r}", line_no)
+            if declared is not None and (u >= declared or v >= declared):
+                raise EdgeListError(
+                    f"id {max(u, v) + base} exceeds declared node count {declared}", line_no
+                )
+            if u >= MAX_NODES or v >= MAX_NODES:
+                raise EdgeListError(
+                    f"id {max(u, v) + base} implies more than the limit of {MAX_NODES} nodes",
+                    line_no,
+                )
+            ids += u, v
+        self.line_no += len(lines)
+        self.declared, self.top = declared, max(top, max(ids, default=-1))
+        return ids
 
 
 def serialize_edge_list(g: Digraph) -> str:

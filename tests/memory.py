@@ -2,11 +2,13 @@
 
 :func:`traced_peak` gives the tracemalloc peak of one call and
 :func:`graph_bytes` what the returned graph holds.  Tier-1 holds the
-generators and the parser to bounds in these terms; CI checks one graph
-too large for Tier-1 both ways:
+generators and the parser to bounds in these terms, the parser on each
+of :data:`FORMS`; CI checks one graph too large for Tier-1 both ways, and
+parses its text in the clean form and with CRLF line ends:
 
     PYTHONPATH=src:tests python -c "from memory import check_ba_peak; check_ba_peak(2000, 400, 1)"
     PYTHONPATH=src:tests python -c "from memory import check_parse_peak; check_parse_peak(2000, 400, 1)"
+    PYTHONPATH=src:tests python -c "from memory import check_parse_peak; check_parse_peak(2000, 400, 1, 'crlf')"
 """
 from __future__ import annotations
 
@@ -53,11 +55,23 @@ def check_ba_peak(n: int, m: int, seed: int) -> None:
         sys.exit("generation peaked at twice the graph or more")
 
 
-def check_parse_peak(n: int, m: int, seed: int) -> None:
-    """Exit non-zero unless parsing BA(n, m)'s edge list peaks below 1.5 times its graph."""
-    text = serialize_edge_list(gen_barabasi_albert(n, m, seed))
+# Edge-list text as serialize_edge_list writes it ("clean"), and four edits
+# of it that send the first line or some or all chunks to the line loop.
+FORMS = {
+    "clean": lambda text: text,
+    "comment": lambda text: "# comment\n" + text,
+    "no final newline": lambda text: text[:-1],
+    "tab": lambda text: text.replace(" ", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+def check_parse_peak(n: int, m: int, seed: int, form: str = "clean") -> None:
+    """Exit non-zero unless parsing BA(n, m)'s edge list in ``form`` peaks below 1.5 times its graph."""
+    text = FORMS[form](serialize_edge_list(gen_barabasi_albert(n, m, seed)))
     g, peak = traced_peak(lambda: parse_edge_list(text))
     held = graph_bytes(g)
-    print(f"BA n={n} m={m} text: {len(text)} characters, peak {peak / 2**20:.1f} MiB, graph {held / 2**20:.1f} MiB")
+    print(f"BA n={n} m={m} {form} text: {len(text)} characters, "
+          f"peak {peak / 2**20:.1f} MiB, graph {held / 2**20:.1f} MiB")
     if peak >= 1.5 * held:
         sys.exit("parsing peaked at 1.5 times the graph or more")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -10,14 +11,16 @@ from pathlib import Path
 import pytest
 
 import sccd
-from sccd import engine
+from sccd import engine, graphs
 from sccd.cli import MAX_CHECK_NODES, main
 from sccd.engine import InternalCorrectnessError, Mode, _run
-from sccd.graphs import MAX_NODES, Digraph
+from sccd.generators import gen_barabasi_albert
+from sccd.graphs import MAX_NODES, Digraph, EdgeListError, serialize_edge_list
 
 from conftest import PAIR_CHAIN_TEXT
 from history import render_history
 from reference_engine import reference_run
+from reference_parse import parse_lines
 from tables import GOLDEN_PAIR_CHAIN, render_golden
 
 
@@ -406,3 +409,53 @@ def test_edge_list_is_read_as_utf8_whatever_the_locale(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "component: 0 1\nrounds: 2 2\ndiameter: 1\n"
+
+
+def test_long_file_reports_a_bad_line_as_the_whole_text_loop_does(tmp_path, capsys):
+    # The file is read a chunk at a time, and the line loop carries its line
+    # number from chunk to chunk.
+    text = serialize_edge_list(gen_barabasi_albert(300, 30, 1))
+    assert len(text) > 3 * graphs._CHUNK
+    cut = text.index("\n", 2 * graphs._CHUNK) + 1
+    bad = text[:cut] + "3 x\n" + text[cut:]
+    with pytest.raises(EdgeListError) as expected:
+        parse_lines(bad, 0)
+    p = tmp_path / "bad.txt"
+    p.write_text(bad)
+    assert main(["scc", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+
+
+def test_invalid_utf8_past_the_first_chunk_exits_2(tmp_path, capsys):
+    data = serialize_edge_list(gen_barabasi_albert(300, 30, 1)).encode()
+    cut = data.index(b"\n", 2 * graphs._CHUNK) + 1
+    p = tmp_path / "bad.txt"
+    p.write_bytes(data[:cut] + b"\xff\n" + data[cut:])
+    assert main(["scc", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    # The text is checked as it is read, so a bad line before the bad byte
+    # is the error reported.
+    p.write_bytes(b"0 1\n2\n" + data[:cut] + b"\xff\n")
+    assert main(["scc", str(p)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: expected 'u v', got '2'\n")
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    # 4,000,000 nodes fit under MAX_NODES but not in 200 MiB of address
+    # space, which the graph's lists pass within about a second.
+    path = tmp_path / "wide.txt"
+    path.write_text("# nodes: 4000000\n0 1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sccd.__file__).parents[1])}
+    code = "import sys; from sccd.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "scc", str(path)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

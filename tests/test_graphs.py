@@ -17,7 +17,7 @@ from sccd.oracles import scc_kosaraju
 from sccd.stats import graph_stats
 
 from conftest import PAIR_CHAIN_TEXT, complete5, edge_list_text, edge_set, pair_chain, tree9
-from memory import graph_bytes, traced_peak
+from memory import FORMS, graph_bytes, traced_peak
 
 
 def test_parse_worked_example_base1():
@@ -146,10 +146,14 @@ def test_serialize_base1():
 def test_clean_text_takes_the_bulk_path(monkeypatch):
     # The line loop returns the same graphs, so only this shows that a
     # shape check gone wrong has not sent clean text down the slow path.
-    def line_loop(text, base):
-        raise AssertionError(f"line loop reached on {text[:40]!r}")
+    # Clean text reaches the loop only for its `# nodes:` line.
+    read_lines = graphs._Reader.read_lines
 
-    monkeypatch.setattr(graphs, "_parse_lines", line_loop)
+    def directive_only(reader, chunk):
+        assert graphs._NODES_DIRECTIVE.fullmatch(chunk.removesuffix("\n")), chunk[:40]
+        return read_lines(reader, chunk)
+
+    monkeypatch.setattr(graphs._Reader, "read_lines", directive_only)
     drawn = [
         gen_erdos_renyi(60, 90, 1),
         gen_barabasi_albert(60, 5, 2),
@@ -171,15 +175,27 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
 
 @pytest.mark.parametrize("header", [True, False])
 def test_clean_parse_peaks_near_the_graph(header):
-    # The bulk parse decodes its text in chunks: with `# nodes:` each chunk
-    # goes to the builder as soon as it is decoded, and without it every
-    # chunk is held only until the largest id is known, then freed as the
-    # builder reads it.  No copy of the whole text is made.
+    # The text is decoded in chunks: with `# nodes:` each chunk goes to the
+    # builder as soon as it is decoded, and without it every chunk is held
+    # only until the largest id is known, then freed as the builder reads
+    # it.  No copy of the whole text is made.
     g0 = gen_barabasi_albert(500, 100, 1)
     text = edge_list_text(g0, 0, header)
     g, peak = traced_peak(lambda: parse_edge_list(text))
     assert g == g0
     assert peak < (1.6 if header else 1.8) * graph_bytes(g)
+
+
+@pytest.mark.parametrize("form", ["comment", "no final newline", "tab", "crlf"])
+def test_edited_text_parses_within_the_clean_bound(form):
+    # Each of these edits sends the first line or some or all chunks to the
+    # line loop, which reads one chunk at a time and, with `# nodes:` in the
+    # first chunk, hands each chunk's ids to the builder as it goes.
+    g0 = gen_barabasi_albert(500, 100, 1)
+    text = FORMS[form](edge_list_text(g0, 0))
+    g, peak = traced_peak(lambda: parse_edge_list(text))
+    assert g == g0
+    assert peak < 1.6 * graph_bytes(g)
 
 
 def test_parse_memory_per_node():

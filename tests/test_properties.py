@@ -8,15 +8,17 @@ Partition labels are checked to be canonical on drawn label lists, and
 mask assembly against the frozenset reference on drawn peer masks.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
-against adjacency built by hand from the drawn pairs.  Its bulk path is
-checked against its line loop on serialized graphs with one edit each,
-also when the text is cut into chunks of a few characters.
+against adjacency built by hand from the drawn pairs.  It is checked
+against the whole-text line loop in ``reference_parse`` on serialized
+graphs with one edit each, also when the text, given as a string or as a
+file, is cut into chunks of a few characters.
 Hypothesis runs derandomized with a fixed example count, so every run
 checks the same graphs.
 """
 
 from __future__ import annotations
 
+import io
 import random
 from itertools import accumulate
 from unittest.mock import patch
@@ -30,7 +32,6 @@ from sccd.graphs import (
     MAX_NODES,
     Digraph,
     EdgeListError,
-    _parse_lines,
     parse_edge_list,
 )
 from sccd.partition import SccPartition
@@ -43,6 +44,7 @@ from sccd.oracles import (
 from conftest import INF, brute_force_sccs, distance_rows, edge_list_text, edge_set
 from history import render_history, streamed_table, traced_run
 from reference_engine import reference_assemble, reference_run
+from reference_parse import parse_lines
 
 MAX_N = 40
 
@@ -220,6 +222,7 @@ EDITS = (
     None, "no final newline", "crlf", "one token", "one token and a space", "three then one",
     "leading zero", "blank line", "tab", "count at or below an id", "count above the limit",
     "id past the limit", "id 0", "comment first line", "line break in the directive",
+    "comment line", "late directive", "unicode separator", "line break in the body",
 )
 
 
@@ -254,6 +257,9 @@ def edited_serializations(draw) -> tuple[str, int]:
         brk = draw(st.sampled_from(("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")))
         return f"#{brk}nodes: {g.n}\n{body}", base
     u, v, w = (str(draw(st.integers(base, g.n - 1 + base))) for _ in range(3))
+    space = draw(st.sampled_from(("\xa0", "\u3000")))
+    # These split a line for str.splitlines() but not for "\n".
+    brk = draw(st.sampled_from(("\x0c", "\u2028")))
     inserted = {
         "one token": [u],
         "one token and a space": [u + " "],
@@ -263,6 +269,12 @@ def edited_serializations(draw) -> tuple[str, int]:
         "tab": [f"{u}\t{v}"],
         "id past the limit": [f"{MAX_NODES + base} {v}"],
         "id 0": [f"0 {v}"],
+        "comment line": ["# comment"],
+        # With the header a second directive.  Without it the count arrives
+        # after edges, so in small chunks the chunks before it are held.
+        "late directive": [f"# nodes: {g.n + draw(st.integers(-1, 1))}"],
+        "unicode separator": [f"{u}{space}{v}"],
+        "line break in the body": [f"{u} {v}{brk}{w} {u}"],
     }[edit]
     lines = text.splitlines(keepends=True)
     at = draw(st.integers(int(header), len(lines)))
@@ -283,12 +295,15 @@ def parse_outcome(parse, text: str, base: int):
 @example(("5", 0), 1)  # one id and no newline: an error, not an empty graph
 def test_bulk_parse_equals_line_loop(doc, chunk):
     text, base = doc
-    expected = parse_outcome(_parse_lines, text, base)
+    expected = parse_outcome(parse_lines, text, base)
     assert parse_outcome(parse_edge_list, text, base) == expected
     # Chunks of a few characters hold a line or two each, so an edit lands
-    # after earlier chunks' pairs have reached the builder.
+    # after earlier chunks' pairs have reached the builder.  A file is read
+    # a chunk at a time; newline="" hands its text over unchanged.
     with patch("sccd.graphs._CHUNK", chunk):
         assert parse_outcome(parse_edge_list, text, base) == expected
+        read = parse_outcome(lambda t, b: parse_edge_list(io.StringIO(t, newline=""), b), text, base)
+        assert read == expected
 
 
 @CHECKED
