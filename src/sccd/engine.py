@@ -10,6 +10,13 @@ round count over all nodes is therefore the graph's finite diameter
 plus one, and the stabilized peer sets assemble into the strongly
 connected components.
 
+:func:`run` applies that peer rule against the settled nodes alone.
+When ``v`` settles with the complete set ``r``, each ``u`` in ``r``
+reaches ``v``, so ``reach(u)`` is a subset of ``r``.  A previous-round
+size of ``|r|`` then forces ``reach_prev(u) = r``: ``u`` settles in the
+same round or has settled before, and no node that is still growing can
+match.  So a node is filed under its size only when it settles.
+
 Two scheduling variants are provided:
 
 * ``PER_NODE_FREEZE`` -- a node stops updating the moment it stabilizes;
@@ -30,6 +37,8 @@ built from them only when ``final`` is read.
 The rounds call one optional observer per round, after the updates and
 before their write-back: :class:`_ElementOps` sums the element-operation
 count, and :func:`trace_table` writes each round's rows as the round ends.
+The trace keeps a size slot for every node, settled or not, so its peer
+rows apply the rule as written, independently of the engine's slots.
 """
 
 from __future__ import annotations
@@ -164,14 +173,18 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
     mask is never wider than that component.
 
     Only the nodes whose reach set grew run in the next round.  A node
-    whose size repeats settles, and its update writes its peers, read
-    against the previous round's sizes, and its round count; in a graph
-    of one weakly connected component, one whose reach set is every node
-    settles without a merge.  In global-rounds mode every node's peers
-    are read again after the last round, which grew nothing, and every
-    node gets that round's count; the rounds also count ``element_ops``
-    (:class:`_ElementOps`).  Raises :class:`GraphTooLargeError` before
-    allocating masks that could pass :data:`MAX_MASK_BITS` bits.
+    whose size repeats settles: once the round's settlers are all filed
+    under their sizes, each reads its peers from its own size's slot of
+    settled nodes, which gives the peers the previous round's sizes give
+    (see the module docstring), and gets its round count.  In a graph of
+    one weakly connected component, a node whose reach set grows to every
+    node gets an empty source list and settles without a merge.  In
+    global-rounds mode the nodes are filed once, after the last round,
+    which grew nothing, every node's peers are read from those slots, and
+    every node gets that round's count; the rounds also count
+    ``element_ops`` (:class:`_ElementOps`).  Raises
+    :class:`GraphTooLargeError` before allocating masks that could pass
+    :data:`MAX_MASK_BITS` bits.
     """
     if mode is Mode.PER_NODE_FREEZE:
         return _run(g, mode)
@@ -182,13 +195,15 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
 def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> RunResult:
     """The rounds of :func:`run`, calling ``observe`` once per round.
 
-    ``observe(live, grown, size, reach, by_size, offset, comps)`` runs after
-    the round's updates and before their write-back: ``live`` are the nodes
-    updated, ``grown`` the ``(v, r, s)`` of those whose reach set grew to
-    ``r`` of size ``s``, and ``size``, ``reach`` and ``by_size`` still hold
-    the previous round.  Node ``v``'s sizes index ``by_size`` from
-    ``offset[v]``; bit ``i`` of its masks is its component's ``i``-th node
-    in ``comps``.  The observer must not change them.
+    ``observe(live, grown, size, reach, offset, comps)`` runs after the
+    round's updates and before their write-back and the filing of its
+    settlers: ``live`` are the nodes updated, ``grown`` the ``(v, r, s)``
+    of those whose reach set grew to ``r`` of size ``s``, and ``size`` and
+    ``reach`` still hold the previous round.  ``offset[v]`` is where node
+    ``v``'s component starts in a list of ``n + len(comps)`` slots, one
+    per size ``0..c`` of a ``c``-node component; bit ``i`` of ``v``'s
+    masks is its component's ``i``-th node in ``comps``.  The observer
+    must not change them.
     """
     if g.n < 1:
         raise ValueError("run requires a nonempty graph")
@@ -204,28 +219,26 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
             f"component has {max(map(len, comps))} nodes"
         )
     own = [0] * n  # the node's own bit
-    # by_size[base[v] + s] is the mask of the nodes in v's component whose
-    # previous-round max size is s.
+    # done[base[v] + s] is the mask of the settled nodes in v's component
+    # whose size is s.
     base = [0] * n
-    by_size = [0] * (n + len(comps))
     offset = 0
     for nodes in comps:
         for i, v in enumerate(nodes):
             own[v] = 1 << i
             base[v] = offset
-        by_size[offset + 1] = (1 << len(nodes)) - 1
         offset += len(nodes) + 1
+    done = [0] * offset
     reach = own[:]
     size = [1] * n  # max_size, which always equals the size of the reach set
     peers = [0] * n
     rounds = [0] * n
-    # In a one-component graph by_size[n] is the mask of the nodes whose
-    # reach set is every node, so no merge can grow them: each newly
-    # saturated node gets an empty source list in a per-run copy of
-    # in_adj, and its settling update merges nothing.  Its r and s, and so
-    # its peers and round count, are those the merge would give.
+    # Only a graph of one weak component has reach sets of n nodes, and no
+    # merge can grow them: a node that grows to size n gets an empty source
+    # list in a per-run copy of in_adj, and its settling update merges
+    # nothing.  Its r and s, and so its peers and round count, are those
+    # the merge would give.
     rows = in_adj
-    saturated = 0 if len(comps) == 1 else None
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
     round_no = 0
     live = list(range(n))
@@ -235,42 +248,43 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
             raise InternalCorrectnessError(
                 f"no convergence after {round_no - 1} rounds on {n} nodes"
             )
-        # A node whose size repeats settles and records its peers against
-        # the previous round's sizes; only the grown ones are written back,
-        # after every node has read the previous round.
+        # Only the grown nodes are written back, after every node has read
+        # the previous round.
         grown = []
+        settled = []
         for v in live:
             r = reach[v]
             for j in rows[v]:
                 r |= reach[j]
             s = r.bit_count()
             if s == size[v]:
-                peers[v] = r & by_size[base[v] + s]
-                rounds[v] = round_no
+                settled.append(v)
             else:
                 grown.append((v, r, s))
         if observe is not None:
-            observe(live, grown, size, reach, by_size, base, comps)
+            observe(live, grown, size, reach, base, comps)
+        if per_node:
+            # Every settler is filed before any reads its peers, so the
+            # members of a component that settle together see each other.
+            for v in settled:
+                done[base[v] + size[v]] |= own[v]
+                rounds[v] = round_no
+            for v in settled:
+                peers[v] = reach[v] & done[base[v] + size[v]]
         for v, r, s in grown:
-            b = base[v]
-            by_size[b + size[v]] ^= own[v]
-            by_size[b + s] |= own[v]
             reach[v] = r
             size[v] = s
-        if saturated is not None and by_size[n] != saturated:
-            new = by_size[n] ^ saturated
-            saturated = by_size[n]
-            if rows is in_adj:
-                rows = list(in_adj)
-            while new:
-                v = new.bit_length() - 1
+            if s == n:
+                if rows is in_adj:
+                    rows = list(in_adj)
                 rows[v] = ()
-                new ^= 1 << v
         live = [v for v, _, _ in grown]
     if not per_node:
         # Every node counts as executing every round; its last round read
         # the final sizes, because nothing grew in it.
-        peers = [r & by_size[b + s] for r, b, s in zip(reach, base, size)]
+        for v in range(n):
+            done[base[v] + size[v]] |= own[v]
+        peers = [r & done[b + s] for r, b, s in zip(reach, base, size)]
         rounds = [round_no] * n
     return RunResult(
         rounds_per_node=tuple(rounds),
@@ -459,6 +473,11 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
     admit(5 * n)
     labels = [str(v + base) for v in range(n)]
     nodes_of: list = [()] * n
+    own = [0] * n  # the node's own bit
+    # by_size[offset[v] + s] is the mask of the nodes in v's component whose
+    # previous-round size is s: the trace reads the peers by the paper's
+    # rule, not from the engine's slots of settled nodes.
+    by_size: list[int] = []
     x = ["{" + label + "}" for label in labels]
     y = ["1"] * n
     z = ["{}"] * n
@@ -474,12 +493,15 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
             for name, row in (("x", x), ("y", y), ("z", z), ("w", w))
         ))
 
-    def observe(live, grown, size, reach, by_size, offset, comps) -> None:
+    def observe(live, grown, size, reach, offset, comps) -> None:
         nonlocal k, cells
         if not k:  # bit i of v's masks is nodes_of[v][i]
+            by_size.extend([0] * (n + len(comps)))
             for nodes in comps:
-                for v in nodes:
+                by_size[offset[nodes[0]] + 1] = (1 << len(nodes)) - 1
+                for i, v in enumerate(nodes):
                     nodes_of[v] = nodes
+                    own[v] = 1 << i
         k += 1
         w = ["True"] * n
         for v, r, s in grown:
@@ -503,6 +525,10 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
                 cells += length(v, p) - len(z[v])
                 z_mask[v] = p
                 changed.append(v)
+        for v, _, s in grown:
+            b = offset[v]
+            by_size[b + size[v]] ^= own[v]
+            by_size[b + s] |= own[v]
         if not per_node:
             entered.clear()
             for v, _, s in grown:

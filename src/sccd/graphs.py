@@ -109,12 +109,13 @@ def parse_edge_list(source: str | TextIO, base: int = 0) -> Digraph:
     any allocation.
 
     The text is read in chunks of whole lines, each decoded in bulk when
-    it is in the form :func:`serialize_edge_list` writes and otherwise by
-    a loop over its lines that names any offending line.  A first line
-    that starts with ``#`` is read by that loop on its own.  When the
-    first chunk declares the node count, each chunk goes to the builder
-    as soon as it is decoded; otherwise the chunks are held until the
-    largest id is known, and each is freed as the builder reads it.
+    it is in the form :func:`serialize_edge_list` writes, or that form
+    with a tab for the space, and otherwise by a loop over its lines that
+    names any offending line.  A first line that starts with ``#`` is
+    read by that loop on its own.  When the first chunk declares the node
+    count, each chunk goes to the builder as soon as it is decoded;
+    otherwise the chunks are held until the largest id is known, and each
+    is freed as the builder reads it.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
@@ -128,8 +129,8 @@ def parse_edge_list(source: str | TextIO, base: int = 0) -> Digraph:
     return Digraph._build(n, chain.from_iterable(map(_pairs, chain(drained, decoded))))
 
 
-_DROP_DIGITS = str.maketrans("", "", "0123456789")
-_TO_COMMAS = str.maketrans(" \n", ",,")
+_DROP_DIGITS = str.maketrans("\t", " ", "0123456789")
+_TO_COMMAS = str.maketrans(" \t\n", ",,,")
 # Characters read at a time; a chunk runs on to the end of its last line.
 # The line loop holds one chunk's lines at once, about 0.1 MiB at this size.
 _CHUNK = 1 << 14
@@ -153,9 +154,10 @@ def _line_chunks(source: str | TextIO) -> Iterator[str]:
 def _clean_ids(chunk: str) -> list[int] | None:
     """The ids of a chunk of lines in :func:`serialize_edge_list`'s form, or ``None``.
 
-    With the digits deleted each line must read exactly " \\n"; one
-    ``json.loads`` then fails on an empty id or a leading zero, so a
-    chunk it decodes holds two ids per line.
+    The two ids of a line may be parted by a space or a tab.  With the
+    digits deleted and a tab read as a space, each line must read exactly
+    " \\n"; one ``json.loads`` then fails on an empty id or a leading
+    zero, so a chunk it decodes holds two ids per line.
     """
     if not chunk.endswith("\n") or chunk.translate(_DROP_DIGITS) != " \n" * chunk.count("\n"):
         return None
@@ -204,8 +206,8 @@ class _Reader:
     def read_lines(self, chunk: str) -> list[int]:
         """Read ``chunk`` line by line, checking each line once as it is read.
 
-        This takes what the bulk decode does not (comments, blank lines, tabs,
-        CRLF, signs, leading zeros) and every error, naming its line."""
+        This takes what the bulk decode does not (comments, blank lines, runs
+        of spaces, CRLF, signs, leading zeros) and every error, naming its line."""
         base, declared, top = self.base, self.declared, self.top
         ids: list[int] = []
         lines = chunk.splitlines()

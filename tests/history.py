@@ -3,8 +3,9 @@
 The engine keeps no history.  :func:`traced_run` passes
 ``sccd.engine._run`` an observer that builds each round's
 :class:`RoundSnapshot` from the masks, reading each node's peers against
-the previous round's sizes as ``sccd trace`` does, so its states can be
-compared with :func:`reference_engine.reference_run`'s.
+the previous round's sizes of every node, in size masks it keeps itself,
+as ``sccd trace`` does, so its states can be compared with
+:func:`reference_engine.reference_run`'s.
 :func:`render_history` renders such a history as the trace table, from
 the states alone, to check :func:`streamed_table`, the text
 ``sccd.engine.trace_table`` writes, byte for byte.
@@ -37,15 +38,27 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
     """
     per_node = mode is Mode.PER_NODE_FREEZE
     nodes_of = {}
+    bits = {}
+    # by_size[offset[v] + s]: the nodes of v's component whose previous-round
+    # size is s, kept here so that the peers follow the paper's rule as written.
+    by_size = []
+    sets = {}  # (component, mask) -> its members; a round repeats many
     states = [NodeState(frozenset((v,)), 1, frozenset(), False, 0, False) for v in range(g.n)]
     history = [RoundSnapshot(tuple(states))]
 
     def members(v, mask):
-        return frozenset(u for i, u in enumerate(nodes_of[v]) if mask >> i & 1)
+        key = (nodes_of[v][0], mask)
+        if key not in sets:
+            sets[key] = frozenset(u for i, u in enumerate(nodes_of[v]) if mask >> i & 1)
+        return sets[key]
 
-    def observe(live, grown, size, reach, by_size, offset, comps):
+    def observe(live, grown, size, reach, offset, comps):
         if not nodes_of:
             nodes_of.update((v, nodes) for nodes in comps for v in nodes)
+            bits.update((v, 1 << i) for nodes in comps for i, v in enumerate(nodes))
+            by_size.extend([0] * (g.n + len(comps)))
+            for nodes in comps:
+                by_size[offset[nodes[0]] + 1] = (1 << len(nodes)) - 1
         new = {v: (r, s) for v, r, s in grown}
         for v in live if per_node else range(g.n):
             r, s = new.get(v, (reach[v], size[v]))
@@ -58,6 +71,9 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
                 rounds=states[v].rounds + 1,
                 frozen=stable and (per_node or not grown),
             )
+        for v, _, s in grown:
+            by_size[offset[v] + size[v]] ^= bits[v]
+            by_size[offset[v] + s] |= bits[v]
         history.append(RoundSnapshot(tuple(states)))
 
     return _run(g, mode, observe), tuple(history)

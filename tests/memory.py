@@ -56,7 +56,9 @@ def check_ba_peak(n: int, m: int, seed: int) -> None:
 
 
 # Edge-list text as serialize_edge_list writes it ("clean"), and four edits
-# of it that send the first line or some or all chunks to the line loop.
+# of it: a comment first line, which the line loop reads on its own; tabs,
+# which the bulk decode takes as it takes spaces; and no final newline and
+# CRLF line ends, which send the last chunk and every chunk to the line loop.
 FORMS = {
     "clean": lambda text: text,
     "comment": lambda text: "# comment\n" + text,

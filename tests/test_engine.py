@@ -20,7 +20,7 @@ from sccd.engine import (
     run,
     _run,
 )
-from sccd.generators import gen_barabasi_albert, gen_watts_strogatz
+from sccd.generators import gen_barabasi_albert, gen_erdos_renyi, gen_watts_strogatz
 from sccd.graphs import Digraph, parse_edge_list
 from sccd.oracles import scc_kosaraju
 
@@ -34,7 +34,7 @@ from conftest import (
     tree9,
 )
 from corpus import gen_uniform_digraph
-from history import traced_run
+from history import streamed_table, traced_run
 from reference_engine import init_state, node_round, reference_run, schedules
 from tables import GOLDEN_PAIR_CHAIN
 
@@ -188,6 +188,42 @@ def test_skipped_merges_change_no_result(make, mode):
         assert result.final == ref.final
         assert result.rounds_per_node == ref.rounds_per_node
         assert result.element_ops == ref.element_ops
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda seed=seed: gen_watts_strogatz(300, 4, 0.2, seed) for seed in (1, 2, 3)),
+        lambda: gen_barabasi_albert(150, 3, 4),
+        lambda: gen_erdos_renyi(200, 300, 5),
+    ],
+    ids=["ws_300_s1", "ws_300_s2", "ws_300_s3", "ba_150_3", "er_200_300"],
+)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_settled_slots_give_the_peers_of_full_slots(make, mode):
+    # run files a node under its size only when it settles; the history and
+    # the trace read every node's peers against the previous round's sizes
+    # of all nodes, in slots of their own.  Under per-node freezing, nodes
+    # of these graphs freeze with peer sets that are strict subsets of
+    # their component, which the exhaustive check on 1-4 nodes hardly
+    # reaches; in global rounds every peer set is its whole component.
+    g = make()
+    result = run(g, mode=mode)
+    _, history = traced_run(g, mode=mode)
+    peers = [state.peers for state in result.final.states]
+    assert peers == [state.peers for state in history[-1].states]
+    z = [row for row in streamed_table(g, mode).splitlines() if row.split("\t")[1] == "z"][-1]
+    assert peers == [
+        frozenset(map(int, cell[1:-1].split(","))) if cell != "{}" else frozenset()
+        for cell in z.split("\t")[2:]
+    ]
+    label = scc_kosaraju(g).labels
+    members: dict = {}
+    for v, c in enumerate(label):
+        members.setdefault(c, set()).add(v)
+    assert all(p <= members[c] for p, c in zip(peers, label))
+    strict = sum(p < members[c] for p, c in zip(peers, label))
+    assert (strict > 0) == (mode is Mode.PER_NODE_FREEZE)
 
 
 def test_run_single_node_and_edgeless():

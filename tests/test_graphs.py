@@ -146,7 +146,8 @@ def test_serialize_base1():
 def test_clean_text_takes_the_bulk_path(monkeypatch):
     # The line loop returns the same graphs, so only this shows that a
     # shape check gone wrong has not sent clean text down the slow path.
-    # Clean text reaches the loop only for its `# nodes:` line.
+    # Clean text, with spaces or tabs, reaches the loop only for its
+    # `# nodes:` line.
     read_lines = graphs._Reader.read_lines
 
     def directive_only(reader, chunk):
@@ -165,9 +166,12 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
         monkeypatch.setattr(graphs, "_CHUNK", chunk)
         for g in drawn:
             for base in (0, 1):
-                assert parse_edge_list(edge_list_text(g, base), base=base) == g
-                text = edge_list_text(g, base, header=False)
-                assert edge_set(parse_edge_list(text, base=base)) == edge_set(g)
+                # Tab-separated ids take the bulk path too.
+                for sep in (" ", "\t"):
+                    text = edge_list_text(g, base).replace(" ", sep)
+                    assert parse_edge_list(text, base=base) == g
+                    text = edge_list_text(g, base, header=False).replace(" ", sep)
+                    assert edge_set(parse_edge_list(text, base=base)) == edge_set(g)
         for base in (0, 1):
             assert parse_edge_list("", base=base) == Digraph.from_edges(0, [])
             assert parse_edge_list("# nodes: 7", base=base) == Digraph.from_edges(7, [])
