@@ -45,6 +45,11 @@ MAX_CHECK_NODES = 4096
 
 
 def _read_graph(path: str, base: int) -> Digraph:
+    """The graph in the file at ``path``, read as UTF-8 with universal newlines.
+
+    Universal newlines are kept on purpose: a CRLF file keeps the bulk
+    decode, and a bare ``\\r`` ends a line, as ``\\n`` and ``\\r\\n`` do.
+    """
     with open(path, encoding="utf-8") as f:
         return parse_edge_list(f, base=base)
 

@@ -1,29 +1,31 @@
 """Synchronous round engine that grows per-node reach sets until they stabilize.
 
 Every node starts knowing only itself.  Each round it merges the reach
-sets of its in-neighbors into its own, records the largest set size it
-has seen, and marks as peers the nodes whose previous-round size matches
-its new size and that already appear in its merged set.  A node's size
-stops changing exactly when its reach set is complete, which happens
-after (longest finite distance into the node) + 1 rounds; the largest
-round count over all nodes is therefore the graph's finite diameter
-plus one, and the stabilized peer sets assemble into the strongly
-connected components.
+sets of its in-neighbors into its own and records the largest set size
+it has seen; in the paper its peers are the nodes whose previous-round
+size matches its new size and that already appear in its merged set.  A
+node's size stops changing exactly when its reach set is complete, which
+happens after (longest finite distance into the node) + 1 rounds; the
+largest round count over all nodes is therefore the graph's finite
+diameter plus one, and the stabilized peer sets assemble into the
+strongly connected components.
 
-:func:`run` applies that peer rule against the settled nodes alone.
-When ``v`` settles with the complete set ``r``, each ``u`` in ``r``
-reaches ``v``, so ``reach(u)`` is a subset of ``r``.  A previous-round
-size of ``|r|`` then forces ``reach_prev(u) = r``: ``u`` settles in the
-same round or has settled before, and no node that is still growing can
-match.  So a node is filed under its size only when it settles.
+:func:`run` computes only the reach sets and round counts; the peers
+follow from them.  When ``v`` settles with the complete set ``r`` in
+round ``t``, each ``u`` in ``r`` reaches ``v``, so ``reach(u)`` is a
+subset of ``r``.  A size of ``|r|`` in round ``t - 1`` then means
+``reach(u) = r`` and that ``u`` settled no later than ``t``: the peers
+are the members of ``v``'s component with its final reach set and no
+more rounds (:attr:`RunResult.peers`).  Two nodes' complete reach sets
+are equal exactly when they reach each other, so the components are the
+groups of equal final reach sets (:func:`assemble_partition`).
 
 Two scheduling variants are provided:
 
 * ``PER_NODE_FREEZE`` -- a node stops updating the moment it stabilizes;
   its last state is carried forward verbatim and stays readable by
   others.  Early-stabilizing members of a component may freeze with a
-  strict subset of it, so partition assembly merges by inclusion-maximal
-  peer sets.
+  strict subset of it as their peers.
 * ``GLOBAL_ROUNDS`` -- every node keeps updating until all stabilize in
   the same round; each node's final peer set is then individually its
   exact component.
@@ -37,8 +39,8 @@ built from them only when ``final`` is read.
 The rounds call one optional observer per round, after the updates and
 before their write-back: :class:`_ElementOps` sums the element-operation
 count, and :func:`trace_table` writes each round's rows as the round ends.
-The trace keeps a size slot for every node, settled or not, so its peer
-rows apply the rule as written, independently of the engine's slots.
+The trace keeps a size slot for every node, so its peer rows apply the
+rule as written, round by round.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .graphs import Digraph, NodeId
@@ -100,7 +102,7 @@ class RoundSnapshot:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final masks and round counts.
+    """Final reach masks and round counts; the peer masks follow from them.
 
     Bit ``i`` of a node's masks is the ``i``-th node of its weakly connected component.
     ``graph`` and ``mode`` are the run's input, kept so that ``element_ops`` can
@@ -111,7 +113,6 @@ class RunResult:
     rounds_per_node: tuple[int, ...]
     components: tuple[tuple[NodeId, ...], ...]
     reach: tuple[int, ...]
-    peers: tuple[int, ...]
     graph: Digraph | None = field(default=None, compare=False, repr=False)
     mode: Mode = field(default=Mode.PER_NODE_FREEZE, compare=False, repr=False)
     counted: int | None = field(default=None, compare=False, repr=False)
@@ -134,6 +135,30 @@ class RunResult:
         count = _ElementOps(self.graph, self.mode)
         _run(self.graph, self.mode, count)
         return count.total
+
+    @cached_property
+    def peers(self) -> tuple[int, ...]:
+        """Each node's peer mask: its component's members with its reach mask and no more rounds.
+
+        That is the paper's rule read at the node's last update (see the
+        module docstring).  In global rounds every count is equal, so each
+        node's peers are every node with its reach mask, its component.
+        Members that settled in the same round see each other.
+        """
+        peers = [0] * self.n
+        for nodes in self.components:
+            # (reach mask, round count) -> the nodes with both, and then the
+            # nodes with that mask and that many rounds or fewer.
+            bits: dict[tuple[int, int], int] = {}
+            for i, v in enumerate(nodes):
+                key = self.reach[v], self.rounds_per_node[v]
+                bits[key] = bits.get(key, 0) | 1 << i
+            settled: dict[int, int] = {}
+            for key in sorted(bits, key=itemgetter(1)):
+                bits[key] = settled[key[0]] = settled.get(key[0], 0) | bits[key]
+            for v in nodes:
+                peers[v] = bits[self.reach[v], self.rounds_per_node[v]]
+        return tuple(peers)
 
     @cached_property
     def final(self) -> RoundSnapshot:
@@ -166,23 +191,20 @@ MAX_TRACE_CHARS = 1 << 27
 def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
     """Execute rounds until every node has stabilized.
 
-    The state lives in flat per-node lists: reach and peer sets are int
-    bitsets, merged with ``|`` and sized with ``int.bit_count``.  No path
-    crosses between weakly connected components, so bit ``i`` of a mask
-    stands for the ``i``-th smallest node of the owner's component, and a
-    mask is never wider than that component.
+    The state lives in flat per-node lists: reach sets are int bitsets,
+    merged with ``|`` and sized with ``int.bit_count``.  No path crosses
+    between weakly connected components, so bit ``i`` of a mask stands
+    for the ``i``-th smallest node of the owner's component, and a mask
+    is never wider than that component.
 
     Only the nodes whose reach set grew run in the next round.  A node
-    whose size repeats settles: once the round's settlers are all filed
-    under their sizes, each reads its peers from its own size's slot of
-    settled nodes, which gives the peers the previous round's sizes give
-    (see the module docstring), and gets its round count.  In a graph of
-    one weakly connected component, a node whose reach set grows to every
-    node gets an empty source list and settles without a merge.  In
-    global-rounds mode the nodes are filed once, after the last round,
-    which grew nothing, every node's peers are read from those slots, and
-    every node gets that round's count; the rounds also count
-    ``element_ops`` (:class:`_ElementOps`).  Raises
+    whose size repeats has its complete reach set: it settles and gets
+    its round count.  In a graph of one weakly connected component, a
+    node whose reach set grows to every node gets an empty source list
+    and settles without a merge.  In global-rounds mode every node gets
+    the count of the last round, which grew nothing, and the rounds also
+    count ``element_ops`` (:class:`_ElementOps`).  The peers are read
+    from the result (:attr:`RunResult.peers`).  Raises
     :class:`GraphTooLargeError` before allocating masks that could pass
     :data:`MAX_MASK_BITS` bits.
     """
@@ -195,21 +217,17 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
 def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> RunResult:
     """The rounds of :func:`run`, calling ``observe`` once per round.
 
-    ``observe(live, grown, size, reach, offset, comps)`` runs after the
-    round's updates and before their write-back and the filing of its
-    settlers: ``live`` are the nodes updated, ``grown`` the ``(v, r, s)``
-    of those whose reach set grew to ``r`` of size ``s``, and ``size`` and
-    ``reach`` still hold the previous round.  ``offset[v]`` is where node
-    ``v``'s component starts in a list of ``n + len(comps)`` slots, one
-    per size ``0..c`` of a ``c``-node component; bit ``i`` of ``v``'s
-    masks is its component's ``i``-th node in ``comps``.  The observer
-    must not change them.
+    ``observe(live, grown, size, reach, comps)`` runs after the round's
+    updates and before their write-back: ``live`` are the nodes updated,
+    ``grown`` the ``(v, r, s)`` of those whose reach set grew to ``r`` of
+    size ``s``, and ``size`` and ``reach`` still hold the previous round.
+    Bit ``i`` of ``v``'s masks is its component's ``i``-th node in
+    ``comps``.  The observer must not change them.
     """
     if g.n < 1:
         raise ValueError("run requires a nonempty graph")
     n = g.n
     in_adj = g.in_adj
-    per_node = mode is Mode.PER_NODE_FREEZE
     comps = _weak_components(g)
     mask_bits = sum(len(c) * len(c) for c in comps)
     if mask_bits > MAX_MASK_BITS:
@@ -218,26 +236,17 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
             f"more than the limit of {MAX_MASK_BITS}; its largest weakly connected "
             f"component has {max(map(len, comps))} nodes"
         )
-    own = [0] * n  # the node's own bit
-    # done[base[v] + s] is the mask of the settled nodes in v's component
-    # whose size is s.
-    base = [0] * n
-    offset = 0
+    reach = [0] * n
     for nodes in comps:
         for i, v in enumerate(nodes):
-            own[v] = 1 << i
-            base[v] = offset
-        offset += len(nodes) + 1
-    done = [0] * offset
-    reach = own[:]
+            reach[v] = 1 << i
     size = [1] * n  # max_size, which always equals the size of the reach set
-    peers = [0] * n
     rounds = [0] * n
     # Only a graph of one weak component has reach sets of n nodes, and no
     # merge can grow them: a node that grows to size n gets an empty source
     # list in a per-run copy of in_adj, and its settling update merges
-    # nothing.  Its r and s, and so its peers and round count, are those
-    # the merge would give.
+    # nothing.  Its r and s, and so its round count, are those the merge
+    # would give.
     rows = in_adj
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
     round_no = 0
@@ -251,26 +260,17 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
         # Only the grown nodes are written back, after every node has read
         # the previous round.
         grown = []
-        settled = []
         for v in live:
             r = reach[v]
             for j in rows[v]:
                 r |= reach[j]
             s = r.bit_count()
             if s == size[v]:
-                settled.append(v)
+                rounds[v] = round_no
             else:
                 grown.append((v, r, s))
         if observe is not None:
-            observe(live, grown, size, reach, base, comps)
-        if per_node:
-            # Every settler is filed before any reads its peers, so the
-            # members of a component that settle together see each other.
-            for v in settled:
-                done[base[v] + size[v]] |= own[v]
-                rounds[v] = round_no
-            for v in settled:
-                peers[v] = reach[v] & done[base[v] + size[v]]
+            observe(live, grown, size, reach, comps)
         for v, r, s in grown:
             reach[v] = r
             size[v] = s
@@ -279,18 +279,13 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
                     rows = list(in_adj)
                 rows[v] = ()
         live = [v for v, _, _ in grown]
-    if not per_node:
-        # Every node counts as executing every round; its last round read
-        # the final sizes, because nothing grew in it.
-        for v in range(n):
-            done[base[v] + size[v]] |= own[v]
-        peers = [r & done[b + s] for r, b, s in zip(reach, base, size)]
+    if mode is Mode.GLOBAL_ROUNDS:
+        # Every node counts as executing every round.
         rounds = [round_no] * n
     return RunResult(
         rounds_per_node=tuple(rounds),
         components=comps,
         reach=tuple(reach),
-        peers=tuple(peers),
         graph=g,
         mode=mode,
     )
@@ -382,47 +377,21 @@ def _ids(mask: int, nodes: Sequence[NodeId]) -> Iterable[NodeId]:
 
 
 def assemble_partition(result: RunResult) -> SccPartition:
-    """Combine the final peer masks into the component partition.
+    """Group the nodes by their final reach masks into the component partition.
 
-    Each node takes the label of the largest peer set it appears in, or
-    keeps a label of its own.  Under per-node freezing a node may have
-    stopped with a subset of its component, but the component member
-    that stabilized last holds the complete set, so the largest
-    candidate is the true component.
-
-    Within each weak component the distinct peer masks with two or more
-    bits set are taken largest first.  A mask disjoint from the ones
-    chosen so far is chosen: it gets the next label, and only its
-    members are decoded.  A correct run leaves every other mask inside
-    the chosen set that its lowest bit joined, and that one check fails
-    exactly when a peer set is not nested in a chosen set or two chosen
-    sets would overlap.  No set is built per peer mask, and a one-node
-    component, which has no such mask, costs nothing but its label.
+    Complete reach sets are equal exactly when two nodes reach each
+    other, so within each weak component the nodes with one reach mask
+    are one strongly connected component, labeled by its smallest
+    member.  No mask is decoded, and a one-node component costs nothing
+    but its label.
     """
-    n = result.n
-    peers = result.peers
-    # Node v's own label is v; the i-th chosen mask, chosen[i], has label n + i.
-    label = list(range(n))
-    chosen = []
+    reach = result.reach
+    label = list(range(result.n))
     for nodes in result.components:
-        if len(nodes) < 2:
-            continue
-        masks = [p for p in dict.fromkeys(peers[v] for v in nodes) if p & (p - 1)]
-        masks.sort(key=int.bit_count, reverse=True)
-        covered = 0
-        for p in masks:
-            if not p & covered:
-                i = n + len(chosen)
-                for v in _ids(p, nodes):
-                    label[v] = i
-                chosen.append(p)
-                covered |= p
-                continue
-            i = label[nodes[(p & -p).bit_length() - 1]]
-            if i < n or p & chosen[i - n] != p:
-                raise InternalCorrectnessError(
-                    f"peer set {sorted(_ids(p, nodes))} overlaps more than one chosen set"
-                )
+        if len(nodes) > 1:
+            first: dict[int, NodeId] = {}
+            for v in nodes:
+                label[v] = first.setdefault(reach[v], v)
     return SccPartition.from_labels(label)
 
 
@@ -475,8 +444,9 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
     nodes_of: list = [()] * n
     own = [0] * n  # the node's own bit
     # by_size[offset[v] + s] is the mask of the nodes in v's component whose
-    # previous-round size is s: the trace reads the peers by the paper's
-    # rule, not from the engine's slots of settled nodes.
+    # previous-round size is s, one slot per size 0..c of a c-node component:
+    # the trace reads the peers by the paper's rule.
+    offset = [0] * n
     by_size: list[int] = []
     x = ["{" + label + "}" for label in labels]
     y = ["1"] * n
@@ -493,15 +463,15 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
             for name, row in (("x", x), ("y", y), ("z", z), ("w", w))
         ))
 
-    def observe(live, grown, size, reach, offset, comps) -> None:
+    def observe(live, grown, size, reach, comps) -> None:
         nonlocal k, cells
         if not k:  # bit i of v's masks is nodes_of[v][i]
-            by_size.extend([0] * (n + len(comps)))
             for nodes in comps:
-                by_size[offset[nodes[0]] + 1] = (1 << len(nodes)) - 1
                 for i, v in enumerate(nodes):
                     nodes_of[v] = nodes
                     own[v] = 1 << i
+                    offset[v] = len(by_size)
+                by_size.extend([0, (1 << len(nodes)) - 1] + [0] * (len(nodes) - 1))
         k += 1
         w = ["True"] * n
         for v, r, s in grown:

@@ -22,8 +22,8 @@ _ID = re.compile(r"[+-]?[0-9]+", re.ASCII)
 
 # Larger node counts, declared or implied by an id, are refused before
 # anything is allocated for them: a graph and an untraced run on it take
-# about 0.25 KiB per node (4 GiB at this size), `sccd scc` about 0.40 KiB
-# (6.3 GiB), measured as peak RSS on one-edge files of 100,000 and 200,000 nodes.
+# about 0.16 KiB per node (2.6 GiB at this size), `sccd scc` about 0.37 KiB
+# (5.9 GiB), measured as peak RSS on one-edge files of 100,000 and 200,000 nodes.
 MAX_NODES = 1 << 24
 
 

@@ -1,11 +1,13 @@
 """Per-round states of an engine run, rebuilt through its per-round hook.
 
-The engine keeps no history.  :func:`traced_run` passes
-``sccd.engine._run`` an observer that builds each round's
-:class:`RoundSnapshot` from the masks, reading each node's peers against
-the previous round's sizes of every node, in size masks it keeps itself,
-as ``sccd trace`` does, so its states can be compared with
-:func:`reference_engine.reference_run`'s.
+The engine keeps no history and reads no peers in its rounds.
+:func:`traced_run` passes ``sccd.engine._run`` an observer that builds
+each round's :class:`RoundSnapshot` from the masks, reading each node's
+peers by the paper's rule, against the previous round's sizes of every
+node, in size masks it lays out in its first call, as ``sccd trace``
+does.  So its states can be compared with
+:func:`reference_engine.reference_run`'s, and its last peers with the
+ones ``RunResult.peers`` derives from the final masks.
 :func:`render_history` renders such a history as the trace table, from
 the states alone, to check :func:`streamed_table`, the text
 ``sccd.engine.trace_table`` writes, byte for byte.
@@ -40,7 +42,9 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
     nodes_of = {}
     bits = {}
     # by_size[offset[v] + s]: the nodes of v's component whose previous-round
-    # size is s, kept here so that the peers follow the paper's rule as written.
+    # size is s, one slot per size 0..c of a c-node component, so that the
+    # peers follow the paper's rule as written.
+    offset = {}
     by_size = []
     sets = {}  # (component, mask) -> its members; a round repeats many
     states = [NodeState(frozenset((v,)), 1, frozenset(), False, 0, False) for v in range(g.n)]
@@ -52,13 +56,14 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
             sets[key] = frozenset(u for i, u in enumerate(nodes_of[v]) if mask >> i & 1)
         return sets[key]
 
-    def observe(live, grown, size, reach, offset, comps):
+    def observe(live, grown, size, reach, comps):
         if not nodes_of:
-            nodes_of.update((v, nodes) for nodes in comps for v in nodes)
-            bits.update((v, 1 << i) for nodes in comps for i, v in enumerate(nodes))
-            by_size.extend([0] * (g.n + len(comps)))
             for nodes in comps:
-                by_size[offset[nodes[0]] + 1] = (1 << len(nodes)) - 1
+                for i, v in enumerate(nodes):
+                    nodes_of[v] = nodes
+                    bits[v] = 1 << i
+                    offset[v] = len(by_size)
+                by_size.extend([0, (1 << len(nodes)) - 1] + [0] * (len(nodes) - 1))
         new = {v: (r, s) for v, r, s in grown}
         for v in live if per_node else range(g.n):
             r, s = new.get(v, (reach[v], size[v]))

@@ -7,12 +7,15 @@ as the paper states the rounds.  It shares no update code with
 round's live nodes are updated; every update reads only the previous
 snapshot, so any order must give the same result.  It returns its own
 history of snapshots beside a :class:`RunResult`, which holds the final
-sets as masks over one component, every node ``0..n-1``, and its own
-count as ``counted``; it keeps no graph, so reading its ``element_ops``
-never runs the bitset engine.
-:func:`reference_assemble` builds the partition from one frozenset per
-peer mask; :func:`sccd.engine.assemble_partition`, which builds none, is
-checked against it.
+reach sets as masks over one component, every node ``0..n-1``, and its
+own count as ``counted``; it keeps no graph, so reading its
+``element_ops`` never runs the bitset engine.  The peers of the last
+snapshot follow the paper's rule; the result's are derived from its
+masks, so the two are compared, not the two results' peers.
+:func:`reference_assemble` builds the partition from the last
+snapshot's peer sets, merged by inclusion as the paper assembles them;
+:func:`sccd.engine.assemble_partition`, which groups the reach masks
+instead, is checked against it.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ def reference_run(
         rounds_per_node=tuple(s.rounds for s in states),
         components=(tuple(range(n)),),
         reach=tuple(_mask(s.reach) for s in states),
-        peers=tuple(_mask(s.peers) for s in states),
         mode=mode,
         counted=element_ops,
     )
@@ -135,20 +137,15 @@ def _mask(ids: frozenset[int]) -> int:
     return sum(1 << v for v in ids)
 
 
-def reference_assemble(result: RunResult) -> SccPartition:
-    """The partition from frozensets of the distinct multi-node peer sets.
+def reference_assemble(snap: RoundSnapshot) -> SccPartition:
+    """The partition from the distinct multi-node peer sets of a run's last snapshot.
 
     Sets are applied smallest first, so each node ends with the label
     of the largest set that holds it; a peer set whose members end with
     more than one label raises :class:`InternalCorrectnessError`.
     """
-    n = result.n
-    peer_sets = [
-        frozenset(v for i, v in enumerate(nodes) if mask >> i & 1)
-        for nodes in result.components
-        for mask in dict.fromkeys(result.peers[v] for v in nodes)
-        if mask & (mask - 1)
-    ]
+    n = len(snap.states)
+    peer_sets = list(dict.fromkeys(s.peers for s in snap.states if len(s.peers) > 1))
     label = list(range(n))
     for i, p in sorted(enumerate(peer_sets, n), key=lambda ip: len(ip[1])):
         for v in p:

@@ -411,6 +411,26 @@ def test_edge_list_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert proc.stdout == "component: 0 1\nrounds: 2 2\ndiameter: 1\n"
 
 
+@pytest.mark.parametrize("command", ["scc", "diameter", "trace"])
+def test_line_ends_are_read_as_universal_newlines(tmp_path, capsys, monkeypatch, command):
+    # The CLI reads with universal newlines on purpose: CRLF and a bare \r
+    # each end a line, and every form is decoded in bulk, not by the line loop.
+    text = PAIR_CHAIN_TEXT + "\n"
+
+    def no_line_loop(*args):
+        raise AssertionError("the line loop read a chunk")
+
+    monkeypatch.setattr(graphs._Reader, "read_lines", no_line_loop)
+    outputs = []
+    for end in ("\n", "\r\n", "\r"):
+        p = tmp_path / "g.txt"
+        p.write_bytes(text.replace("\n", end).encode())
+        assert main([command, str(p), "--base", "1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == ""
+    assert outputs == [outputs[0]] * 3
+
+
 def test_long_file_reports_a_bad_line_as_the_whole_text_loop_does(tmp_path, capsys):
     # The file is read a chunk at a time, and the line loop carries its line
     # number from chunk to chunk.

@@ -9,7 +9,6 @@ from sccd import engine
 from sccd.engine import (
     MAX_MASK_BITS,
     GraphTooLargeError,
-    InternalCorrectnessError,
     Mode,
     NodeState,
     RoundSnapshot,
@@ -200,13 +199,14 @@ def test_skipped_merges_change_no_result(make, mode):
     ids=["ws_300_s1", "ws_300_s2", "ws_300_s3", "ba_150_3", "er_200_300"],
 )
 @pytest.mark.parametrize("mode", list(Mode))
-def test_settled_slots_give_the_peers_of_full_slots(make, mode):
-    # run files a node under its size only when it settles; the history and
-    # the trace read every node's peers against the previous round's sizes
-    # of all nodes, in slots of their own.  Under per-node freezing, nodes
-    # of these graphs freeze with peer sets that are strict subsets of
-    # their component, which the exhaustive check on 1-4 nodes hardly
-    # reaches; in global rounds every peer set is its whole component.
+def test_derived_peers_equal_the_peers_read_round_by_round(make, mode):
+    # RunResult.peers derives the peers from the settled nodes' final reach
+    # masks and round counts; the history and the trace read every node's
+    # peers round by round against the previous round's sizes of all nodes,
+    # in full size slots of their own.  Under per-node freezing, nodes of
+    # these graphs freeze with peer sets that are strict subsets of their
+    # component, which the exhaustive check on 1-4 nodes hardly reaches; in
+    # global rounds every peer set is its whole component.
     g = make()
     result = run(g, mode=mode)
     _, history = traced_run(g, mode=mode)
@@ -291,34 +291,6 @@ def test_cycle_with_tail_global_mode_peer_sets_are_exact():
         )
 
 
-def test_assemble_rejects_non_nested_peer_sets():
-    # The graph 0 <-> 1 <-> 2, with final peer sets {0, 1}, {1, 2} and {}
-    # as masks over its one component.
-    fake = RunResult(
-        rounds_per_node=(2, 2, 2),
-        components=((0, 1, 2),),
-        reach=(0b011, 0b111, 0b111),
-        peers=(0b011, 0b110, 0b000),
-    )
-    with pytest.raises(InternalCorrectnessError):
-        assemble_partition(fake)
-
-
-def test_assemble_rejects_overlapping_chosen_sets():
-    # Each peer set lies inside the set its smallest member joins, but node 1
-    # joins {1, 2} while node 0 joins {0, 1}: the chosen sets overlap.
-    # The graph 0 <-> 1 <-> 2, with final peer sets {1, 2}, {0, 1} and {}
-    # as masks over its one component.
-    fake = RunResult(
-        rounds_per_node=(2, 2, 2),
-        components=((0, 1, 2),),
-        reach=(0b111, 0b111, 0b111),
-        peers=(0b110, 0b011, 0b000),
-    )
-    with pytest.raises(InternalCorrectnessError, match="overlap"):
-        assemble_partition(fake)
-
-
 def test_assembly_memory_per_node():
     # One edge among 20,000 nodes: every node is a component of its own.
     # Assembly builds no set for a one-node component, and the partition
@@ -339,9 +311,9 @@ def test_assembly_memory_per_node():
 
 def test_assembly_memory_with_partial_peer_sets():
     # Per-node freezing on a Watts-Strogatz graph leaves many peer sets
-    # that are strict subsets of their component.  Assembly decodes only
-    # the chosen sets' members and builds no set per peer mask; one
-    # frozenset per distinct mask would take about 700 bytes per node.
+    # that are strict subsets of their component.  Assembly groups the
+    # reach masks and decodes none; one frozenset per distinct peer mask
+    # would take about 700 bytes per node.
     n = 1000
     result = run(gen_watts_strogatz(n, 4, 0.2, 1))
     tracemalloc.start()

@@ -5,7 +5,8 @@ Each drawn graph is checked in both modes against the reference engine
 BFS distances.  The three diameter oracles are checked against each
 other, on dense and on strongly connected graphs too.
 Partition labels are checked to be canonical on drawn label lists, and
-mask assembly against the frozenset reference on drawn peer masks.
+the grouping by reach masks against the paper's assembly from the
+reference engine's peer sets.
 The edge-list parser is checked against ``Digraph.from_edges`` on drawn
 texts, and on each kind of bad line for the line number it reports, and
 against adjacency built by hand from the drawn pairs.  It is checked
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sccd.engine import InternalCorrectnessError, Mode, RunResult, assemble_partition, run
+from sccd.engine import Mode, assemble_partition, run
 from sccd.graphs import (
     MAX_NODES,
     Digraph,
@@ -319,10 +320,17 @@ def test_engine_equals_reference_engine(g):
         assert result.final == ref_history[-1], mode
         assert result.rounds_per_node == ref.rounds_per_node, mode
         assert result.element_ops == ref.element_ops, mode
-        # Without an observer, the nodes that grew keep no peers or round
-        # counts until they settle; the result must not show it.
+        # The result derives its peers from its final masks; the reference's
+        # last snapshot read them round by round, by the paper's rule.
+        last = ref_history[-1].states
+        for nodes in result.components:
+            for v in nodes:
+                mask = sum(1 << i for i, u in enumerate(nodes) if u in last[v].peers)
+                assert result.peers[v] == mask, (mode, v)
+        # Without an observer, the nodes that grew keep no round counts
+        # until they settle; the result must not show it.
         untraced = run(g, mode=mode)
-        for name in ("rounds_per_node", "element_ops", "components", "reach", "peers"):
+        for name in ("rounds_per_node", "element_ops", "components", "reach"):
             assert getattr(untraced, name) == getattr(result, name), (mode, name)
         assert untraced.final == ref.final, mode
 
@@ -336,49 +344,16 @@ def test_partition_equals_kosaraju_and_brute_force(g):
         assert assemble_partition(run(g, mode=mode)) == reference, mode
 
 
-@st.composite
-def peer_vectors(draw) -> RunResult:
-    """Peer masks on 1-3 components of up to 7 nodes, ids shuffled.
-
-    Each component's bits are split into up to three blocks.  A node's
-    mask is any mask over its component, a part of its own block, the
-    whole block or the whole component, so both nested and crossing
-    peer sets are drawn.
-    """
-    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
-    n = sum(sizes)
-    ids = draw(st.permutations(range(n)))
-    comps, peers = [], [0] * n
-    for start, c in zip(accumulate([0] + sizes), sizes):
-        nodes = tuple(sorted(ids[start:start + c]))
-        comps.append(nodes)
-        block = draw(st.lists(st.integers(0, 2), min_size=c, max_size=c))
-        for i, v in enumerate(nodes):
-            own = sum(1 << j for j in range(c) if block[j] == block[i])
-            any_mask = draw(st.integers(0, (1 << c) - 1))
-            peers[v] = draw(st.sampled_from((any_mask, any_mask & own, own, (1 << c) - 1)))
-    return RunResult(
-        rounds_per_node=(1,) * n,
-        components=tuple(sorted(comps)),
-        reach=(0,) * n,
-        peers=tuple(peers),
-    )
-
-
-def assemble_outcome(assemble, result: RunResult):
-    """The partition, or None when the peer masks are rejected."""
-    try:
-        return assemble(result)
-    except InternalCorrectnessError:
-        return None
-
-
 @CHECKED
-@given(peer_vectors())
-def test_mask_assembly_equals_frozenset_reference(result):
-    assert assemble_outcome(assemble_partition, result) == assemble_outcome(
-        reference_assemble, result
-    )
+@given(graphs)
+def test_paper_assembly_equals_mask_grouping(g):
+    # The paper assembles the components from the peer sets, merged by
+    # inclusion; assemble_partition groups the final reach masks.
+    reference = scc_kosaraju(g)
+    for mode in Mode:
+        _, ref_history = reference_run(g, mode=mode)
+        assert reference_assemble(ref_history[-1]) == reference, mode
+        assert assemble_partition(run(g, mode=mode)) == reference, mode
 
 
 @CHECKED
