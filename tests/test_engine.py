@@ -199,11 +199,11 @@ def test_skipped_merges_change_no_result(make, mode):
     ids=["ws_300_s1", "ws_300_s2", "ws_300_s3", "ba_150_3", "er_200_300"],
 )
 @pytest.mark.parametrize("mode", list(Mode))
-def test_derived_peers_equal_the_peers_read_round_by_round(make, mode):
-    # RunResult.peers derives the peers from the settled nodes' final reach
-    # masks and round counts; the history and the trace read every node's
-    # peers round by round against the previous round's sizes of all nodes,
-    # in full size slots of their own.  Under per-node freezing, nodes of
+def test_settled_slots_give_the_peers_of_full_slots(make, mode):
+    # RunResult.peers derives the peers of each settled node from the final
+    # reach masks and round counts; the history and the trace read every
+    # node's peers round by round against the previous round's sizes of all
+    # nodes, in full size slots of their own.  Under per-node freezing, nodes of
     # these graphs freeze with peer sets that are strict subsets of their
     # component, which the exhaustive check on 1-4 nodes hardly reaches; in
     # global rounds every peer set is its whole component.
