@@ -417,6 +417,8 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
     cell of it is rendered: :class:`GraphTooLargeError` refuses a round
     that would take the text past :data:`MAX_TRACE_CHARS` characters.
     """
+    if g.n < 1:
+        raise ValueError("trace_table requires a nonempty graph")
     n = g.n
     per_node = mode is Mode.PER_NODE_FREEZE
     tens = [10**j for j in range(1, len(str(n - 1 + base)))]

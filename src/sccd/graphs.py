@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 NodeId = int
@@ -59,22 +57,26 @@ class Digraph:
 
     @classmethod
     def _build(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
-        # The one adjacency builder, and the one check of the node count.
-        # Every pair must be an int pair in range: from_edges and the
-        # parsers check them first, and the generators build them in range
-        # for any n >= 0.  Any other caller goes through from_edges.
+        # The one check of the node count.  The pairs are read once, so they
+        # may be a stream that no list keeps; each must be an int pair in range,
+        # as from_edges and the generators make them.  Others use from_edges.
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        # The pairs are read once, so they may be a one-pass stream that no
-        # list keeps.  A list of fewer than two heads is already sorted and
-        # repeat-free; skipping the set there keeps large sparse graphs
-        # cheap.  The out-lists are freed before any in-list exists, and
-        # walking out_adj in tail order appends each in-list already sorted.
         outs: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             outs[u].append(v)
+        return cls._from_outs(outs)
+
+    @classmethod
+    def _from_outs(cls, outs: list[list[int]]) -> Digraph:
+        # The out-lists that _build and parse_edge_list fill, sorted and
+        # deduped, then emptied so they are freed before any in-list exists.
+        # A list of fewer than two heads is already sorted and repeat-free;
+        # skipping the set there keeps large sparse graphs cheap.  Walking
+        # out_adj in tail order appends each in-list already sorted.
+        n = len(outs)
         out_adj = tuple(tuple(sorted(set(a))) if len(a) > 1 else tuple(a) for a in outs)
-        del outs
+        outs.clear()
         ins: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out_adj):
             for v in heads:
@@ -109,24 +111,26 @@ def parse_edge_list(source: str | TextIO, base: int = 0) -> Digraph:
     any allocation.
 
     The text is read in chunks of whole lines, each decoded in bulk when
-    it is in the form :func:`serialize_edge_list` writes, or that form
-    with a tab for the space, and otherwise by a loop over its lines that
-    names any offending line.  A first line that starts with ``#`` is
-    read by that loop on its own.  When the first chunk declares the node
-    count, each chunk goes to the builder as soon as it is decoded;
-    otherwise the chunks are held until the largest id is known, and each
-    is freed as the builder reads it.
+    in the form :func:`serialize_edge_list` writes (a tab may stand for
+    the space), and otherwise by a loop over its lines that names any
+    offending line; a first line that starts with ``#`` goes to that loop
+    alone.  Wherever the directive stands, the out-lists grow after each
+    chunk to the largest id so far and take its edges; then it is freed.
     """
     if base not in (0, 1):
         raise ValueError(f"base must be 0 or 1, got {base}")
     reader = _Reader(base)
-    decoded = map(reader.decode, _line_chunks(source))
-    held = deque(islice(decoded, 1))
-    if reader.declared is None:
-        held.extend(decoded)
-    n = reader.top + 1 if reader.declared is None else reader.declared
-    drained = (held.popleft() for _ in range(len(held)))
-    return Digraph._build(n, chain.from_iterable(map(_pairs, chain(drained, decoded))))
+    outs: list[list[int]] = []
+    # A chunk's ids are freed as their iterator is exhausted.  The chunks are a
+    # local that comes after the out-lists, so a MemoryError as these grow
+    # frees them before the generator under the chunks is finalized.
+    chunks = map(iter, map(reader.decode, _line_chunks(source)))
+    for ids in chunks:
+        outs += [[] for _ in range(reader.top + 1 - len(outs))]
+        for u, v in zip(ids, ids):
+            outs[u].append(v)
+    outs += [[] for _ in range((reader.declared or 0) - len(outs))]
+    return Digraph._from_outs(outs)
 
 
 _DROP_DIGITS = str.maketrans("\t", " ", "0123456789")
@@ -165,12 +169,6 @@ def _clean_ids(chunk: str) -> list[int] | None:
         return json.loads("[" + chunk[:-1].translate(_TO_COMMAS) + "]")
     except ValueError:
         return None
-
-
-def _pairs(ids: list[int]) -> Iterator[tuple[int, int]]:
-    """Consecutive ids as pairs; only the pairs' iterator keeps the list."""
-    it = iter(ids)
-    return zip(it, it)
 
 
 @dataclass

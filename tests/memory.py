@@ -4,11 +4,13 @@
 :func:`graph_bytes` what the returned graph holds.  Tier-1 holds the
 generators and the parser to bounds in these terms, the parser on each
 of :data:`FORMS`; CI checks one graph too large for Tier-1 both ways, and
-parses its text in the clean form and with CRLF line ends:
+parses its text in the clean form, with CRLF line ends and without its
+`# nodes:` line:
 
     PYTHONPATH=src:tests python -c "from memory import check_ba_peak; check_ba_peak(2000, 400, 1)"
     PYTHONPATH=src:tests python -c "from memory import check_parse_peak; check_parse_peak(2000, 400, 1)"
     PYTHONPATH=src:tests python -c "from memory import check_parse_peak; check_parse_peak(2000, 400, 1, 'crlf')"
+    PYTHONPATH=src:tests python -c "from memory import check_parse_peak; check_parse_peak(2000, 400, 1, 'no directive')"
 """
 from __future__ import annotations
 
@@ -55,16 +57,20 @@ def check_ba_peak(n: int, m: int, seed: int) -> None:
         sys.exit("generation peaked at twice the graph or more")
 
 
-# Edge-list text as serialize_edge_list writes it ("clean"), and four edits
+# Edge-list text as serialize_edge_list writes it ("clean"), and six edits
 # of it: a comment first line, which the line loop reads on its own; tabs,
-# which the bulk decode takes as it takes spaces; and no final newline and
-# CRLF line ends, which send the last chunk and every chunk to the line loop.
+# which the bulk decode takes as it takes spaces; no final newline and CRLF
+# line ends, which send the last chunk and every chunk to the line loop; and
+# the `# nodes:` line dropped or moved after the last edge, which the parse
+# reads as it reads the clean form, growing the out-lists chunk by chunk.
 FORMS = {
     "clean": lambda text: text,
     "comment": lambda text: "# comment\n" + text,
     "no final newline": lambda text: text[:-1],
     "tab": lambda text: text.replace(" ", "\t"),
     "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no directive": lambda text: text[text.index("\n") + 1 :],
+    "late directive": lambda text: text[text.index("\n") + 1 :] + text[: text.index("\n") + 1],
 }
 
 

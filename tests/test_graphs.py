@@ -179,27 +179,42 @@ def test_clean_text_takes_the_bulk_path(monkeypatch):
 
 @pytest.mark.parametrize("header", [True, False])
 def test_clean_parse_peaks_near_the_graph(header):
-    # The text is decoded in chunks: with `# nodes:` each chunk goes to the
-    # builder as soon as it is decoded, and without it every chunk is held
-    # only until the largest id is known, then freed as the builder reads
-    # it.  No copy of the whole text is made.
+    # The text is decoded in chunks, and after each chunk the out-lists grow
+    # to the largest id so far and take its edges, so with `# nodes:` or
+    # without it only one chunk's ids are held at a time.  No copy of the
+    # whole text is made.
     g0 = gen_barabasi_albert(500, 100, 1)
     text = edge_list_text(g0, 0, header)
     g, peak = traced_peak(lambda: parse_edge_list(text))
     assert g == g0
-    assert peak < (1.6 if header else 1.8) * graph_bytes(g)
+    assert peak < 1.6 * graph_bytes(g)
 
 
-@pytest.mark.parametrize("form", ["comment", "no final newline", "tab", "crlf"])
+@pytest.mark.parametrize(
+    "form", ["comment", "no final newline", "tab", "crlf", "no directive", "late directive"]
+)
 def test_edited_text_parses_within_the_clean_bound(form):
-    # Each of these edits sends the first line or some or all chunks to the
-    # line loop, which reads one chunk at a time and, with `# nodes:` in the
-    # first chunk, hands each chunk's ids to the builder as it goes.
+    # Each of the first four edits sends the first line or some or all
+    # chunks to the line loop, which reads one chunk at a time; the last two
+    # move the `# nodes:` line, which changes nothing in how chunks are read.
     g0 = gen_barabasi_albert(500, 100, 1)
     text = FORMS[form](edge_list_text(g0, 0))
     g, peak = traced_peak(lambda: parse_edge_list(text))
     assert g == g0
     assert peak < 1.6 * graph_bytes(g)
+
+
+@pytest.mark.parametrize("form", ["no directive", "late directive"])
+def test_directive_anywhere_parses_at_the_clean_peak(form):
+    # Where `# nodes:` stands, or whether it is there at all, must not make
+    # the parse hold more than one chunk's ids while it waits for the count.
+    g0 = gen_barabasi_albert(500, 100, 1)
+    text = edge_list_text(g0, 0)
+    _, clean = traced_peak(lambda: parse_edge_list(text))
+    edited = FORMS[form](text)
+    g, peak = traced_peak(lambda: parse_edge_list(edited))
+    assert g == g0
+    assert peak < 1.05 * clean
 
 
 def test_parse_memory_per_node():

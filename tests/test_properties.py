@@ -189,7 +189,7 @@ def test_parse_equals_from_edges(doc, data):
     text = "".join(line + end for line, end in zip(lines, ends))
     g = parse_edge_list(text, base=base)
     assert g == expected
-    # Independent of Digraph._build, which parse_edge_list and from_edges share.
+    # Independent of Digraph._from_outs, which parse_edge_list and from_edges share.
     assert (g.in_adj, g.out_adj) == adjacency_by_hand(expected.n, pairs)
     assert g.m == len(edge_set(g)) == len(set(pairs))
 

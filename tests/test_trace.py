@@ -111,6 +111,16 @@ def test_streamed_table_equals_reference_rendering(make, mode):
         assert streamed_table(g, mode, base) == render_history(history, base)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_empty_graph_is_refused_before_anything_is_written(mode):
+    # The CLI prints nothing for an empty graph before it gets here; a
+    # library caller must not get a header and round 0 before the error.
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="nonempty graph"):
+        trace_table(Digraph.from_edges(0, []), mode, out, 0)
+    assert out.getvalue() == ""
+
+
 class Discard:
     """A text sink that keeps nothing."""
 
