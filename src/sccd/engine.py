@@ -36,11 +36,11 @@ result.  :func:`run` computes the updates on int bitsets, and its
 :class:`RunResult` keeps those masks; :class:`NodeState` views are
 built from them only when ``final`` is read.
 
-The rounds call one optional observer per round, after the updates and
-before their write-back: :class:`_ElementOps` sums the element-operation
-count, and :func:`trace_table` writes each round's rows as the round ends.
-The trace keeps a size slot for every node, so its peer rows apply the
-rule as written, round by round.
+The rounds call one optional observer per round, after the updates:
+:class:`_ElementOps` sums the element-operation count, and
+:func:`trace_table` writes each round's rows as the round ends.  Each
+keeps the previous round's sizes, which the rounds do not; the trace
+also a size slot for every node, so its peer rows apply the rule as written.
 """
 
 from __future__ import annotations
@@ -192,14 +192,14 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
     """Execute rounds until every node has stabilized.
 
     The state lives in flat per-node lists: reach sets are int bitsets,
-    merged with ``|`` and sized with ``int.bit_count``.  No path crosses
-    between weakly connected components, so bit ``i`` of a mask stands
-    for the ``i``-th smallest node of the owner's component, and a mask
-    is never wider than that component.
+    merged with ``|`` from one list into another, and the two swap each
+    round.  No path crosses between weakly connected components, so bit
+    ``i`` of a mask stands for the ``i``-th smallest node of the owner's
+    component, and a mask is never wider than that component.
 
     Only the nodes whose reach set grew run in the next round.  A node
-    whose size repeats has its complete reach set: it settles and gets
-    its round count.  In a graph of one weakly connected component, a
+    whose merge adds nothing to its set has its complete reach set: it
+    settles and gets its round count.  In a graph of one weakly connected component, a
     node whose reach set grows to every node gets an empty source list
     and settles without a merge.  In global-rounds mode every node gets
     the count of the last round, which grew nothing, and the rounds also
@@ -217,10 +217,10 @@ def run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> RunResult:
 def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> RunResult:
     """The rounds of :func:`run`, calling ``observe`` once per round.
 
-    ``observe(live, grown, size, reach, comps)`` runs after the round's
-    updates and before their write-back: ``live`` are the nodes updated,
-    ``grown`` the ``(v, r, s)`` of those whose reach set grew to ``r`` of
-    size ``s``, and ``size`` and ``reach`` still hold the previous round.
+    ``observe(live, grown, before, after, comps)`` runs after the round's
+    updates: ``live`` are the nodes updated and ``grown`` those whose
+    reach set grew; ``before`` holds every node's previous-round mask and
+    ``after`` its mask at the end of this round, settled nodes' included.
     Bit ``i`` of ``v``'s masks is its component's ``i``-th node in
     ``comps``.  The observer must not change them.
     """
@@ -236,56 +236,53 @@ def _run(g: Digraph, mode: Mode, observe: Callable[..., None] | None = None) -> 
             f"more than the limit of {MAX_MASK_BITS}; its largest weakly connected "
             f"component has {max(map(len, comps))} nodes"
         )
-    reach = [0] * n
+    before = [0] * n
     for nodes in comps:
         for i, v in enumerate(nodes):
-            reach[v] = 1 << i
-    size = [1] * n  # max_size, which always equals the size of the reach set
+            before[v] = 1 << i
+    after = before.copy()
     rounds = [0] * n
-    # Only a graph of one weak component has reach sets of n nodes, and no
-    # merge can grow them: a node that grows to size n gets an empty source
-    # list in a per-run copy of in_adj, and its settling update merges
-    # nothing.  Its r and s, and so its round count, are those the merge
-    # would give.
+    # Only a graph of one weak component has reach sets of all n nodes, and
+    # no merge can grow them: a node that grows to all n gets an empty source
+    # list in a per-run copy of in_adj, and its settling update merges nothing.
     rows = in_adj
+    full = (1 << n) - 1
     cap = n + 2  # a reach set grows every round it is incomplete, so n+2 is unreachable
     round_no = 0
-    live = list(range(n))
+    live: Sequence[NodeId] = range(n)
     while live:
         round_no += 1
         if round_no > cap:
             raise InternalCorrectnessError(
                 f"no convergence after {round_no - 1} rounds on {n} nodes"
             )
-        # Only the grown nodes are written back, after every node has read
-        # the previous round.
+        # Every update reads the previous round and writes this one, so a
+        # settling node leaves both lists holding its final mask.
         grown = []
         for v in live:
-            r = reach[v]
+            r = old = before[v]
             for j in rows[v]:
-                r |= reach[j]
-            s = r.bit_count()
-            if s == size[v]:
+                r |= before[j]
+            after[v] = r
+            if r == old:
                 rounds[v] = round_no
             else:
-                grown.append((v, r, s))
+                grown.append(v)
+                if r == full:
+                    if rows is in_adj:
+                        rows = list(in_adj)
+                    rows[v] = ()
         if observe is not None:
-            observe(live, grown, size, reach, comps)
-        for v, r, s in grown:
-            reach[v] = r
-            size[v] = s
-            if s == n:
-                if rows is in_adj:
-                    rows = list(in_adj)
-                rows[v] = ()
-        live = [v for v, _, _ in grown]
+            observe(live, grown, before, after, comps)
+        before, after = after, before
+        live = grown
     if mode is Mode.GLOBAL_ROUNDS:
         # Every node counts as executing every round.
         rounds = [round_no] * n
     return RunResult(
         rounds_per_node=tuple(rounds),
         components=comps,
-        reach=tuple(reach),
+        reach=tuple(before),
         graph=g,
         mode=mode,
     )
@@ -304,9 +301,11 @@ class _ElementOps:
     def __init__(self, g: Digraph, mode: Mode) -> None:
         self.in_adj = g.in_adj
         self.weight = None if mode is Mode.PER_NODE_FREEZE else [1 + len(h) for h in g.out_adj]
+        self.size = [1] * g.n  # the previous round's sizes
         self.total = 0
 
-    def __call__(self, live: list, grown: list, size: list, *_: list) -> None:
+    def __call__(self, live: Sequence[NodeId], grown: list, _: list, after: list, *__) -> None:
+        size = self.size
         if self.weight is None:
             get_size = size.__getitem__
             self.total += sum(map(get_size, live)) + sum(
@@ -314,6 +313,8 @@ class _ElementOps:
             )
         else:
             self.total += sum(map(mul, size, self.weight))
+        for v in grown:
+            size[v] = after[v].bit_count()
 
 
 def _weak_components(g: Digraph) -> tuple[tuple[NodeId, ...], ...]:
@@ -454,6 +455,7 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
     y = ["1"] * n
     z = ["{}"] * n
     z_mask = [0] * n
+    size = [1] * n  # the previous round's sizes
     entered: dict[int, tuple[NodeId, ...]] = {}  # by_size slots a node grew into last round
 
     def cell(v: NodeId, mask: int) -> str:
@@ -465,8 +467,8 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
             for name, row in (("x", x), ("y", y), ("z", z), ("w", w))
         ))
 
-    def observe(live, grown, size, reach, comps) -> None:
-        nonlocal k, cells
+    def observe(live, grown, before, after, comps) -> None:
+        nonlocal k, cells, entered
         if not k:  # bit i of v's masks is nodes_of[v][i]
             for nodes in comps:
                 for i, v in enumerate(nodes):
@@ -475,9 +477,10 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
                     offset[v] = len(by_size)
                 by_size.extend([0, (1 << len(nodes)) - 1] + [0] * (len(nodes) - 1))
         k += 1
+        new = [after[v].bit_count() for v in grown]
         w = ["True"] * n
-        for v, r, s in grown:
-            cells += length(v, r) + len(str(s)) - len(x[v]) - len(y[v])
+        for v, s in zip(grown, new):
+            cells += length(v, after[v]) + len(str(s)) - len(x[v]) - len(y[v])
             w[v] = "False"
         # The grown nodes' peers are read with their new sets, the others' with their own.
         # In global rounds a node that did not grow has its whole reach set.  A member
@@ -489,25 +492,24 @@ def trace_table(g: Digraph, mode: Mode, out: TextIO, base: int) -> None:
             readers = range(n)
         else:
             readers = chain.from_iterable(_ids(by_size[b], nodes) for b, nodes in entered.items())
-        kept = ((v, reach[v], size[v]) for v in readers if w[v] == "True")
+        kept = ((v, size[v]) for v in readers if w[v] == "True")
         changed = []
-        for v, r, s in chain(grown, kept):
-            p = r & by_size[offset[v] + s]
+        for v, s in chain(zip(grown, new), kept):
+            p = after[v] & by_size[offset[v] + s]
             if p != z_mask[v]:
                 cells += length(v, p) - len(z[v])
                 z_mask[v] = p
                 changed.append(v)
-        for v, _, s in grown:
+        for v, s in zip(grown, new):
             b = offset[v]
             by_size[b + size[v]] ^= own[v]
             by_size[b + s] |= own[v]
+            size[v] = s
         if not per_node:
-            entered.clear()
-            for v, _, s in grown:
-                entered[offset[v] + s] = nodes_of[v]
+            entered = {offset[v] + s: nodes_of[v] for v, s in zip(grown, new)}
         admit(4 * n + len(grown))
-        for v, r, s in grown:
-            x[v] = cell(v, r)
+        for v, s in zip(grown, new):
+            x[v] = cell(v, after[v])
             y[v] = str(s)
         for v in changed:
             z[v] = cell(v, z_mask[v])

@@ -1,11 +1,11 @@
 """Per-round states of an engine run, rebuilt through its per-round hook.
 
-The engine keeps no history and reads no peers in its rounds.
+The engine keeps no history, no sizes, and reads no peers in its rounds.
 :func:`traced_run` passes ``sccd.engine._run`` an observer that builds
-each round's :class:`RoundSnapshot` from the masks, reading each node's
-peers by the paper's rule, against the previous round's sizes of every
-node, in size masks it lays out in its first call, as ``sccd trace``
-does.  So its states can be compared with
+each round's :class:`RoundSnapshot` from the round's new masks, keeping
+its own list of the previous round's sizes, and reads each node's peers
+by the paper's rule against those sizes of every node, in size masks it
+lays out in its first call, as ``sccd trace`` does.  So its states can be compared with
 :func:`reference_engine.reference_run`'s, and its last peers with the
 ones ``RunResult.peers`` derives from the final masks.
 :func:`render_history` renders such a history as the trace table, from
@@ -46,6 +46,7 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
     # peers follow the paper's rule as written.
     offset = {}
     by_size = []
+    size = [1] * g.n  # the previous round's sizes
     sets = {}  # (component, mask) -> its members; a round repeats many
     states = [NodeState(frozenset((v,)), 1, frozenset(), False, 0, False) for v in range(g.n)]
     history = [RoundSnapshot(tuple(states))]
@@ -56,7 +57,7 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
             sets[key] = frozenset(u for i, u in enumerate(nodes_of[v]) if mask >> i & 1)
         return sets[key]
 
-    def observe(live, grown, size, reach, comps):
+    def observe(live, grown, before, after, comps):
         if not nodes_of:
             for nodes in comps:
                 for i, v in enumerate(nodes):
@@ -64,9 +65,9 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
                     bits[v] = 1 << i
                     offset[v] = len(by_size)
                 by_size.extend([0, (1 << len(nodes)) - 1] + [0] * (len(nodes) - 1))
-        new = {v: (r, s) for v, r, s in grown}
+        new = {v: after[v].bit_count() for v in grown}
         for v in live if per_node else range(g.n):
-            r, s = new.get(v, (reach[v], size[v]))
+            r, s = after[v], new.get(v, size[v])
             stable = v not in new
             states[v] = NodeState(
                 reach=members(v, r),
@@ -76,9 +77,10 @@ def traced_run(g: Digraph, mode: Mode = Mode.PER_NODE_FREEZE) -> tuple[RunResult
                 rounds=states[v].rounds + 1,
                 frozen=stable and (per_node or not grown),
             )
-        for v, _, s in grown:
+        for v, s in new.items():
             by_size[offset[v] + size[v]] ^= bits[v]
             by_size[offset[v] + s] |= bits[v]
+            size[v] = s
         history.append(RoundSnapshot(tuple(states)))
 
     return _run(g, mode, observe), tuple(history)

@@ -252,6 +252,43 @@ def test_frozen_states_carried_forward_verbatim():
         assert snap.states[0] == history[2].states[0]
 
 
+def observed_rounds(g: Digraph, mode: Mode) -> list[tuple[dict, list]]:
+    """Per round of ``_run``: each live node's sets in ``before`` and ``after``, decoded, and ``grown``."""
+    rounds = []
+
+    def observe(live, grown, before, after, comps):
+        nodes_of = {v: nodes for nodes in comps for v in nodes}
+
+        def ids(v, mask):
+            return frozenset(u for i, u in enumerate(nodes_of[v]) if mask >> i & 1)
+
+        rounds.append(({v: (ids(v, before[v]), ids(v, after[v])) for v in live}, list(grown)))
+
+    _run(g, mode, observe)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "make", [pair_chain, tree9, lambda: gen_watts_strogatz(60, 4, 0.2, 1)],
+    ids=["pair_chain", "tree9", "ws_60"],
+)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_observer_reads_the_previous_and_the_new_round(make, mode):
+    # In round k the observer finds each live node's round k-1 set in
+    # ``before`` and its round k set in ``after``, a settling node's
+    # included, and ``grown`` holds exactly the live nodes whose set
+    # changed.  No node outside ``live`` changes.
+    g = make()
+    _, history = reference_run(g, mode)
+    rounds = observed_rounds(g, mode)
+    assert len(rounds) == len(history) - 1
+    for k, (sets, grown) in enumerate(rounds, 1):
+        old, new = history[k - 1].states, history[k].states
+        assert sets == {v: (old[v].reach, new[v].reach) for v in sets}
+        assert sorted(grown) == [v for v in sorted(sets) if new[v].reach != old[v].reach]
+        assert all(new[v].reach == old[v].reach for v in range(g.n) if v not in sets)
+
+
 def test_finite_diameter_worked_graphs():
     assert finite_diameter_from_run(run(pair_chain())) == 5
     assert finite_diameter_from_run(run(complete5())) == 1
@@ -325,6 +362,24 @@ def test_assembly_memory_with_partial_peer_sets():
     multi = sum(len(c) > 1 for c in partition.components)
     assert len({p for p in result.peers if p & (p - 1)}) > multi
     assert partition == scc_kosaraju(result.graph)
+    assert peak < 128 * n
+
+
+def test_run_memory_per_node():
+    # One edge among 20,000 nodes: nodes 0 and 1 form one weak component,
+    # and every other node is one of its own.  The rounds hold the previous and the new masks and the round
+    # counts; a size list beside them, or a list of every node id for the
+    # first round, would pass the bound.
+    n = 20_000
+    g = parse_edge_list(f"# nodes: {n}\n0 1\n")
+    run(g)
+    tracemalloc.start()
+    try:
+        result = run(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.rounds_per_node[:3] == (1, 2, 1)
     assert peak < 128 * n
 
 
